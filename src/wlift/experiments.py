@@ -64,6 +64,8 @@ class PhaseGrid:
             raise ValueError(f"unknown structure {self.structure!r}")
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting {self.weighting!r}")
+        _check_separation(max(self.sparsity_levels, default=1),
+                          self.min_separation)
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,14 @@ def cell_seed(base_seed: int, m: int, k: int, trial: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _check_separation(k: int, min_separation: float) -> None:
+    # K gaps on the unit circle sum to 1, so K * separation >= 1 can never
+    # be drawn and the rejection loop would spin forever
+    if k * min_separation >= 1:
+        raise ValueError(f"{k} frequencies cannot be {min_separation} apart "
+                         "on the unit circle")
+
+
 def random_mixture(n: int, k: int, rng: np.random.Generator,
                    min_separation: float = 0.0) -> Mixture:
     """K unit-circle exponentials with unit-magnitude random-phase weights.
@@ -106,6 +116,7 @@ def random_mixture(n: int, k: int, rng: np.random.Generator,
     Frequencies are i.i.d. uniform on [0, 1); an optional wrap-around
     separation floor rejects draws with close pairs.
     """
+    _check_separation(k, min_separation)
     while True:
         freqs = rng.random(k)
         if min_separation <= 0 or k == 1:

@@ -1,14 +1,17 @@
-"""Sparse lifting bases and the lift / adjoint pair.
+"""Sparse lifting bases and the lift operator.
 
 A lifting basis is a family of N sparse d1 x d2 matrices {A_n}, each with
 omega_n nonzeros all equal to 1/sqrt(omega_n), mutually orthogonal, with at
 most one nonzero per column. The lift maps a length-N vector to
-sum_n a_n * x_n * A_n; the adjoint inverts it coordinate-wise. A basis may
+sum_n a_n * x_n * A_n with a_n = sqrt(omega_n), so every cell of element n
+holds x_n; the back projection inverts it coordinate-wise. A basis may
 mark some cells as conjugating, in which case those cells carry conj(x_n)
 and the lift is real-linear instead of complex-linear.
 
-Patterns are kept as flat coordinate arrays grouped by element, so lift and
-adjoint are plain fancy-indexing operations.
+Patterns are kept as flat coordinate arrays grouped by element, so the
+lift and its adjoint are plain fancy-indexing operations. `LiftOperator`
+is the one implementation of both; it also carries optional per-cell
+weights, which is how the solver applies diagonal weight pairs.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "LiftingBasis",
+    "LiftOperator",
     "BasisReport",
     "hankel_basis",
     "double_hankel_basis",
@@ -48,18 +52,26 @@ class LiftingBasis:
     element: np.ndarray
     offsets: np.ndarray
     support_counts: np.ndarray  # omega_n
-    coefficients: np.ndarray    # a_n
     conjugated: Optional[np.ndarray] = None  # flat mask of conjugating cells
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """a_n = sqrt(omega_n), which makes the lift the plain structured matrix."""
+        return np.sqrt(self.support_counts)
 
     def pattern(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """(rows, cols) of element n, 0-based n."""
         lo, hi = self.offsets[n], self.offsets[n + 1]
         return self.rows[lo:hi], self.cols[lo:hi]
 
-    @property
-    def entry_values(self) -> np.ndarray:
-        """Flat nonzero values, aligned with rows/cols/element."""
-        return 1.0 / np.sqrt(self.support_counts[self.element])
+    def element_sum(self, vals: np.ndarray) -> np.ndarray:
+        """Sum flat per-cell values (aligned with rows/cols) over each element."""
+        if np.iscomplexobj(vals):
+            return (np.bincount(self.element, weights=vals.real,
+                                minlength=self.n)
+                    + 1j * np.bincount(self.element, weights=vals.imag,
+                                       minlength=self.n))
+        return np.bincount(self.element, weights=vals, minlength=self.n)
 
     def element_dense(self, n: int) -> np.ndarray:
         r, c = self.pattern(n)
@@ -67,9 +79,42 @@ class LiftingBasis:
         a[r, c] = 1.0 / np.sqrt(self.support_counts[n])
         return a
 
-    def descriptor(self) -> Tuple[str, int, int]:
-        """(structure name, N, pencil) triple used in experiment configs."""
-        return (self.structure, self.n, self.dims[0])
+
+class LiftOperator:
+    """The lift with optional positive per-cell weights.
+
+    forward(x) puts cell[j] * x_n (conj(x_n) on conjugating cells) at each
+    cell j of element n; cell=None means unit weights, i.e. the plain lift.
+    adjoint is the adjoint for the real inner product Re<.,.>, so it
+    conjugates the conjugating cells back before summing. Patterns are
+    disjoint, so adjoint(forward(.)) is diagonal with entries normal_diag,
+    the per-element sums of squared cell weights (omega_n for unit cells).
+    """
+
+    def __init__(self, basis: LiftingBasis, cell: Optional[np.ndarray] = None):
+        self.basis = basis
+        self.cell = cell
+        self.normal_diag = (basis.support_counts.astype(float) if cell is None
+                            else basis.element_sum(cell ** 2))
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        b = self.basis
+        vals = x[b.element]
+        if b.conjugated is not None:
+            vals = np.where(b.conjugated, np.conj(vals), vals)
+        m = np.zeros(b.dims, dtype=complex)
+        # patterns are pairwise disjoint, so plain assignment accumulates nothing
+        m[b.rows, b.cols] = vals if self.cell is None else self.cell * vals
+        return m
+
+    def adjoint(self, m: np.ndarray) -> np.ndarray:
+        b = self.basis
+        vals = m[b.rows, b.cols]
+        if self.cell is not None:
+            vals = self.cell * vals
+        if b.conjugated is not None:
+            vals = np.where(b.conjugated, np.conj(vals), vals)
+        return b.element_sum(vals)
 
 
 @dataclass(frozen=True)
@@ -92,7 +137,6 @@ class BasisReport:
 
 def make_basis(structure: str, n: int, dims: Tuple[int, int],
                patterns: List[Tuple[np.ndarray, np.ndarray]],
-               coefficients: np.ndarray,
                conjugated: Optional[np.ndarray] = None) -> LiftingBasis:
     """Assemble a basis from per-element (rows, cols) patterns.
 
@@ -107,15 +151,12 @@ def make_basis(structure: str, n: int, dims: Tuple[int, int],
     rows = np.concatenate([r for r, _ in patterns]).astype(np.int64)
     cols = np.concatenate([c for _, c in patterns]).astype(np.int64)
     element = np.repeat(np.arange(n), counts)
-    coeff = np.asarray(coefficients, dtype=float)
-    if np.any(coeff <= 0):
-        raise ValueError("lifting coefficients must be positive")
     if conjugated is not None:
         conjugated = np.asarray(conjugated, dtype=bool)
         if conjugated.shape != rows.shape:
             raise ValueError("conjugation mask must align with the patterns")
     return LiftingBasis(structure, n, dims, rows, cols, element, offsets,
-                        counts, coeff, conjugated)
+                        counts, conjugated)
 
 
 def _hankel_patterns(n: int, d: int) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -130,16 +171,13 @@ def _hankel_patterns(n: int, d: int) -> List[Tuple[np.ndarray, np.ndarray]]:
 def hankel_basis(n: int, pencil: int) -> LiftingBasis:
     """Hankel lifting basis of shape (d, N - d + 1).
 
-    Element k occupies the antidiagonal i + j - 1 = k; a_k equals the square
-    root of its support size, so the lift reproduces the plain Hankel matrix
-    M[i, j] = x[i + j - 1].
+    Element k occupies the antidiagonal i + j - 1 = k, so the lift
+    reproduces the plain Hankel matrix M[i, j] = x[i + j - 1].
     """
     if not 1 <= pencil <= n:
         raise ValueError(f"pencil must lie in [1, N], got {pencil} for N={n}")
-    pats = _hankel_patterns(n, pencil)
-    counts = np.array([len(r) for r, _ in pats], dtype=float)
-    return make_basis("hankel", n, (pencil, n - pencil + 1), pats,
-                      np.sqrt(counts))
+    return make_basis("hankel", n, (pencil, n - pencil + 1),
+                      _hankel_patterns(n, pencil))
 
 
 def double_hankel_basis(n: int, pencil: int) -> LiftingBasis:
@@ -168,9 +206,8 @@ def double_hankel_basis(n: int, pencil: int) -> LiftingBasis:
                      np.concatenate([c1, c2 + d2h])))
         conj_chunks.append(np.concatenate([np.zeros(r1.size, dtype=bool),
                                            np.ones(r2.size, dtype=bool)]))
-    counts = np.array([len(r) for r, _ in pats], dtype=float)
     return make_basis("double-hankel", n, (pencil, 2 * d2h), pats,
-                      np.sqrt(counts), np.concatenate(conj_chunks))
+                      np.concatenate(conj_chunks))
 
 
 def lift(basis: LiftingBasis, x: np.ndarray) -> np.ndarray:
@@ -178,14 +215,7 @@ def lift(basis: LiftingBasis, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (basis.n,):
         raise ValueError(f"expected length-{basis.n} vector, got {x.shape}")
-    m = np.zeros(basis.dims, dtype=complex)
-    scale = basis.coefficients / np.sqrt(basis.support_counts)
-    # patterns are pairwise disjoint, so plain assignment accumulates nothing
-    vals = (scale * x)[basis.element]
-    if basis.conjugated is not None:
-        vals = np.where(basis.conjugated, np.conj(vals), vals)
-    m[basis.rows, basis.cols] = vals
-    return m
+    return LiftOperator(basis).forward(x)
 
 
 def adjoint(basis: LiftingBasis, m: np.ndarray) -> np.ndarray:
@@ -193,13 +223,8 @@ def adjoint(basis: LiftingBasis, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != basis.dims:
         raise ValueError(f"expected {basis.dims} matrix, got {m.shape}")
-    vals = m[basis.rows, basis.cols]
-    if basis.conjugated is not None:
-        vals = np.where(basis.conjugated, np.conj(vals), vals)
-    acc = (np.bincount(basis.element, weights=vals.real, minlength=basis.n)
-           + 1j * np.bincount(basis.element, weights=vals.imag,
-                              minlength=basis.n))
-    return acc / (basis.coefficients * np.sqrt(basis.support_counts))
+    # <A_n, M> / a_n is the sum over element n's cells divided by omega_n
+    return LiftOperator(basis).adjoint(m) / basis.support_counts
 
 
 def validate_basis(basis: LiftingBasis, tol: float = 1e-12) -> BasisReport:

@@ -74,23 +74,6 @@ def subspace_of(basis: LiftingBasis, x: np.ndarray, rank_tol: float = 1e-8,
     return SubspacePair(u[:, :k], vh[:k, :].conj().T, s[:k], k)
 
 
-def _row_weights(basis: LiftingBasis, col_norms_sq: np.ndarray,
-                 row_norms_sq: np.ndarray) -> tuple:
-    """Per-element sums of projector column/row energies over the pattern.
-
-    For a matrix G acting from the left, G @ A_n picks column r of G for
-    each pattern cell (r, c) into distinct output columns, so the squared
-    Frobenius norm is the sum of ||G[:, r]||^2 over the pattern divided by
-    omega_n. Acting from the right, cells sharing a row add up, which is
-    handled by the caller for the structures that need it.
-    """
-    left = np.bincount(basis.element, weights=col_norms_sq[basis.rows],
-                       minlength=basis.n) / basis.support_counts
-    right = np.bincount(basis.element, weights=row_norms_sq[basis.cols],
-                        minlength=basis.n) / basis.support_counts
-    return left, right
-
-
 def _right_product_norms(basis: LiftingBasis, g_right: np.ndarray) -> np.ndarray:
     """||A_n @ G||_F^2 per element, exact even when pattern rows repeat."""
     d1 = basis.dims[0]
@@ -109,8 +92,7 @@ def _right_product_norms(basis: LiftingBasis, g_right: np.ndarray) -> np.ndarray
 def _left_product_norms(basis: LiftingBasis, g_left: np.ndarray) -> np.ndarray:
     """||G @ A_n||_F^2 per element; pattern columns are distinct by condition 4."""
     col_sq = np.sum(np.abs(g_left) ** 2, axis=0)
-    return np.bincount(basis.element, weights=col_sq[basis.rows],
-                       minlength=basis.n) / basis.support_counts
+    return basis.element_sum(col_sq[basis.rows]) / basis.support_counts
 
 
 def leverage_scores(basis: LiftingBasis, subspace: SubspacePair) -> ScoreVector:
@@ -209,11 +191,8 @@ def incoherence_check(basis: LiftingBasis, weights: WeightPair,
 
 def _basis_inner(basis: LiftingBasis, m: np.ndarray) -> np.ndarray:
     """<A_n, M> for all n."""
-    vals = m[basis.rows, basis.cols]
-    acc = (np.bincount(basis.element, weights=vals.real, minlength=basis.n)
-           + 1j * np.bincount(basis.element, weights=vals.imag,
-                              minlength=basis.n))
-    return acc / np.sqrt(basis.support_counts)
+    return (basis.element_sum(m[basis.rows, basis.cols])
+            / np.sqrt(basis.support_counts))
 
 
 def a_norm_inf(basis: LiftingBasis, scores: ScoreVector, m: np.ndarray) -> float:
@@ -266,10 +245,8 @@ def diag_weight_bound(basis: LiftingBasis, weights: WeightPair, beta: float,
     wr_sq = np.asarray(weights.right_diag) ** 2
     s_l = np.sort(wl_sq)[:count].sum()
     s_r = np.sort(wr_sq)[:count].sum()
-    left = np.bincount(basis.element, weights=wl_sq[basis.rows],
-                       minlength=basis.n) / basis.support_counts
-    right = np.bincount(basis.element, weights=wr_sq[basis.cols],
-                        minlength=basis.n) / basis.support_counts
+    left = basis.element_sum(wl_sq[basis.rows]) / basis.support_counts
+    right = basis.element_sum(wr_sq[basis.cols]) / basis.support_counts
     return np.maximum(left / s_l, right / s_r)
 
 

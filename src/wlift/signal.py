@@ -8,7 +8,7 @@ magnitude, and observed on a random index subset.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,14 +76,12 @@ class SampleSet:
     """Observed index set over {1..N}, 1-based and strictly increasing.
 
     `probabilities`, when present, holds the per-index inclusion
-    probability for all N positions. `values` holds the observed entries
-    in index order once attached via :meth:`observe`.
+    probability for all N positions.
     """
 
     universe: int
     indices: np.ndarray
     probabilities: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -101,23 +99,10 @@ class SampleSet:
             if np.any(p <= 0) or np.any(p > 1):
                 raise ValueError("probabilities must lie in (0, 1]")
             object.__setattr__(self, "probabilities", p)
-        if self.values is not None:
-            v = np.asarray(self.values, dtype=complex)
-            if v.shape != (idx.size,):
-                raise ValueError("values length must match |Omega|")
-            object.__setattr__(self, "values", v)
 
     @property
     def size(self) -> int:
         return int(self.indices.size)
-
-    def observe(self, y: np.ndarray) -> "SampleSet":
-        """Return a copy carrying the entries of `y` at the observed indices."""
-        y = np.asarray(y, dtype=complex)
-        if y.shape != (self.universe,):
-            raise ValueError("vector length must equal the universe size")
-        return SampleSet(self.universe, self.indices, self.probabilities,
-                         y[self.indices - 1])
 
     def complement(self) -> np.ndarray:
         """Unobserved indices (1-based)."""

@@ -3,8 +3,8 @@
 ADMM on the splitting  min ||Z||_*  s.t.  Z = W_L L(g) W_R^H  with g held
 on the observed coordinates (noiseless) or inside the l2-ball around the
 noisy observations (noisy). The Z-update is singular value thresholding;
-the g-update is a least-squares solve that is coordinate-separable for
-diagonal weights and falls back to conjugate gradients otherwise.
+the g-update is a least-squares solve, coordinate-separable because the
+weights are diagonal and the lifting patterns are disjoint.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lifting import LiftingBasis
+from .lifting import LiftingBasis, LiftOperator
 from .signal import SampleSet
 from .weights import WeightPair
 
@@ -34,7 +34,6 @@ class SolverConfig:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
     success_threshold: float = 1e-3
-    cg_iters: int = 50          # inner cap for non-diagonal weights
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -74,106 +73,6 @@ def relative_error(truth: np.ndarray, estimate: np.ndarray) -> float:
     return float(np.linalg.norm(truth - estimate) / denom)
 
 
-class _DiagonalLift:
-    """W_L L(.) W_R^H for diagonal weights: per-cell scaling of the lift."""
-
-    def __init__(self, basis: LiftingBasis, weights: WeightPair):
-        self.basis = basis
-        wl = np.asarray(weights.left_diag, dtype=float)
-        wr = np.asarray(weights.right_diag, dtype=float)
-        # rescale so the largest cell weight is 1; pure rescaling of the
-        # objective, but it keeps the ADMM tolerances meaningful
-        cell = wl[basis.rows] * wr[basis.cols]
-        peak = cell.max()
-        if peak <= 0:
-            raise ValueError("weights annihilate the lift")
-        self.cell = cell / peak
-        self.obj_scale = float(peak)
-        self.scale = (basis.coefficients / np.sqrt(basis.support_counts))
-        # normal-equation diagonal: sum of squared cell weights per element
-        self.normal_diag = np.bincount(
-            basis.element, weights=(self.cell ** 2), minlength=basis.n
-        ) * self.scale ** 2
-        if np.any(self.normal_diag <= 0):
-            raise ValueError("weights annihilate some coordinate of the lift")
-
-    def forward(self, g: np.ndarray) -> np.ndarray:
-        m = np.zeros(self.basis.dims, dtype=complex)
-        vals = (self.scale * g)[self.basis.element]
-        if self.basis.conjugated is not None:
-            vals = np.where(self.basis.conjugated, np.conj(vals), vals)
-        m[self.basis.rows, self.basis.cols] = self.cell * vals
-        return m
-
-    def adjoint(self, m: np.ndarray) -> np.ndarray:
-        vals = self.cell * m[self.basis.rows, self.basis.cols]
-        if self.basis.conjugated is not None:
-            vals = np.where(self.basis.conjugated, np.conj(vals), vals)
-        acc = (np.bincount(self.basis.element, weights=vals.real,
-                           minlength=self.basis.n)
-               + 1j * np.bincount(self.basis.element, weights=vals.imag,
-                                  minlength=self.basis.n))
-        return self.scale * acc
-
-    def solve_normal(self, target: np.ndarray, g0: np.ndarray,
-                     cg_iters: int) -> np.ndarray:
-        return self.adjoint(target) / self.normal_diag
-
-
-class _DenseLift:
-    """W_L L(.) W_R^H for general weights; normal solve via CG."""
-
-    def __init__(self, basis: LiftingBasis, weights: WeightPair):
-        self.basis = basis
-        self.wl = weights.left
-        self.wrh = weights.right.conj().T
-        self.obj_scale = 1.0
-        self.scale = basis.coefficients / np.sqrt(basis.support_counts)
-
-    def _lift(self, g: np.ndarray) -> np.ndarray:
-        m = np.zeros(self.basis.dims, dtype=complex)
-        vals = (self.scale * g)[self.basis.element]
-        if self.basis.conjugated is not None:
-            vals = np.where(self.basis.conjugated, np.conj(vals), vals)
-        m[self.basis.rows, self.basis.cols] = vals
-        return m
-
-    def forward(self, g: np.ndarray) -> np.ndarray:
-        return self.wl @ self._lift(g) @ self.wrh
-
-    def adjoint(self, m: np.ndarray) -> np.ndarray:
-        # real-adjoint: conjugating cells flip back before accumulation,
-        # matching the Re<.,.> inner product the CG iteration uses
-        inner = self.wl.conj().T @ m @ self.wrh.conj().T
-        vals = inner[self.basis.rows, self.basis.cols]
-        if self.basis.conjugated is not None:
-            vals = np.where(self.basis.conjugated, np.conj(vals), vals)
-        acc = (np.bincount(self.basis.element, weights=vals.real,
-                           minlength=self.basis.n)
-               + 1j * np.bincount(self.basis.element, weights=vals.imag,
-                                  minlength=self.basis.n))
-        return self.scale * acc
-
-    def solve_normal(self, target: np.ndarray, g0: np.ndarray,
-                     cg_iters: int) -> np.ndarray:
-        b = self.adjoint(target)
-        g = g0.copy()
-        r = b - self.adjoint(self.forward(g))
-        p = r.copy()
-        rs = np.vdot(r, r).real
-        for _ in range(cg_iters):
-            if np.sqrt(rs) <= 1e-12 * max(1.0, np.linalg.norm(b)):
-                break
-            ap = self.adjoint(self.forward(p))
-            alpha = rs / np.vdot(p, ap).real
-            g += alpha * p
-            r -= alpha * ap
-            rs_new = np.vdot(r, r).real
-            p = r + (rs_new / rs) * p
-            rs = rs_new
-        return g
-
-
 def _ball_project(g: np.ndarray, obs0: np.ndarray, center: np.ndarray,
                   radius: float) -> None:
     """Project g's observed coordinates onto the l2-ball around center."""
@@ -190,7 +89,8 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
 
     noise_bound=None enforces P_Omega(g) = y_Omega exactly; a nonnegative
     noise_bound eta relaxes it to ||P_Omega(g) - y_Omega||_2 <= sqrt(M) eta.
-    Iteration exhaustion returns converged=False rather than raising.
+    Only diagonal weight pairs are supported. Iteration exhaustion returns
+    converged=False rather than raising.
     """
     observed = np.asarray(observed, dtype=complex)
     if sample_set.size == 0:
@@ -199,9 +99,26 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
         raise ValueError("observed values must match the sample set size")
     if not np.all(np.isfinite(observed.view(float))):
         raise ValueError("non-finite observations")
+    if sample_set.universe != basis.n:
+        raise ValueError(f"sample set covers {sample_set.universe} indices, "
+                         f"the basis {basis.n}")
+    if not weights.diagonal_flag:
+        raise ValueError("only diagonal weight pairs are supported")
+    if weights.dims != basis.dims:
+        raise ValueError(f"weights of shape {weights.dims} do not match "
+                         f"the {basis.dims} lift")
 
-    op = _DiagonalLift(basis, weights) if weights.diagonal_flag \
-        else _DenseLift(basis, weights)
+    wl = np.asarray(weights.left_diag, dtype=float)
+    wr = np.asarray(weights.right_diag, dtype=float)
+    # rescale so the largest cell weight is 1; pure rescaling of the
+    # objective, but it keeps the ADMM tolerances meaningful
+    cell = wl[basis.rows] * wr[basis.cols]
+    peak = cell.max()
+    if peak <= 0:
+        raise ValueError("weights annihilate the lift")
+    op = LiftOperator(basis, cell / peak)
+    if np.any(op.normal_diag <= 0):
+        raise ValueError("weights annihilate some coordinate of the lift")
     d1, d2 = basis.dims
     n = basis.n
     obs0 = sample_set.indices - 1
@@ -223,7 +140,7 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
         z_new = svt(bg + lam / rho, 1.0 / rho)
 
         target = z_new - lam / rho
-        g = op.solve_normal(target, g, config.cg_iters)
+        g = op.adjoint(target) / op.normal_diag
         if radius is None:
             g[obs0] = observed
         else:
@@ -249,6 +166,6 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
         elif dual > 10 * primal:
             rho /= 2.0
 
-    objective = op.obj_scale * float(
+    objective = float(peak) * float(
         np.linalg.svd(op.forward(g), compute_uv=False).sum())
     return CompletionResult(g, it, primal, dual, objective, converged)

@@ -171,9 +171,10 @@ def two_stage_pipeline(basis: LiftingBasis, sample_set: SampleSet,
 
     Stage 1 completes with identity weights; its lifted estimate provides
     the pilot subspace for weight tuning; stage 2 re-solves the weighted
-    program. Returns (weights, stage-2 result). If tuning falls back or
-    the stage-1 lift is degenerate, the stage-1 result is returned with
-    identity weights.
+    program. Returns (weights, stage-2 result). If the stage-1 lift is
+    degenerate, tuning falls back, or tuning does not lower its objective
+    (it then returns scaled identity weights, whose program stage 1 has
+    already solved), the stage-1 result is returned with identity weights.
     """
     from .scores import subspace_of
     from .solver import SolverConfig, complete
@@ -188,7 +189,7 @@ def two_stage_pipeline(basis: LiftingBasis, sample_set: SampleSet,
     except ValueError:
         return ident, stage1
     tuned = tune_diagonal_weights(basis, sample_set, pilot, tune_config)
-    if tuned.fell_back or not tuned.weights.diagonal_flag:
+    if tuned.fell_back or tuned.objective >= tuned.baseline:
         return ident, stage1
     stage2 = complete(basis, tuned.weights, sample_set, observed,
                       noise_bound=noise_bound, config=solver_config)

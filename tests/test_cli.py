@@ -101,10 +101,14 @@ def test_phase_requires_out(capsys):
 
 def test_phase_invalid_grid_is_usage_error(tmp_path):
     cfg = tmp_path / "grid.json"
-    cfg.write_text(json.dumps({"n": 21, "d": 10, "sample_counts": [40],
-                               "sparsity_levels": [1], "trials": 1}))
-    assert main(["phase", "--config", str(cfg),
-                 "--out", str(tmp_path / "x.dat")]) == 1
+    # M above N; then a separation no K = 4 draw can meet
+    for grid in ({"sample_counts": [40], "sparsity_levels": [1]},
+                 {"sample_counts": [10], "sparsity_levels": [4],
+                  "min_separation": 0.3}):
+        cfg.write_text(json.dumps({"n": 21, "d": 10, "trials": 1, **grid}))
+        assert main(["phase", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.dat")]) == 1
+    assert not (tmp_path / "x.dat").exists()
 
 
 def test_phase_emits_dat_and_sidecars(tmp_path):

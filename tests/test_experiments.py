@@ -83,6 +83,11 @@ def test_phase_grid_validation():
         PhaseGrid((40,), (2,), structure="toeplitz")
     with pytest.raises(ValueError):
         PhaseGrid((40,), (2,), weighting="oracle")
+    # K frequencies cannot all be 1/K apart on the unit circle, so drawing
+    # such a grid's mixtures would never finish
+    with pytest.raises(ValueError):
+        PhaseGrid((40,), (2, 4), min_separation=0.25)
+    PhaseGrid((40,), (2, 4), min_separation=0.24)
 
 
 def test_success_surface_shape_check():

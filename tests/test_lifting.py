@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from wlift.lifting import (LiftingBasis, adjoint, double_hankel_basis,
+from wlift.lifting import (LiftOperator, adjoint, double_hankel_basis,
                            hankel_basis, lift, validate_basis)
 
 
@@ -159,9 +161,7 @@ def test_validate_flags_injected_duplicate():
     rows = basis.rows.copy()
     cols = basis.cols.copy()
     rows[-1], cols[-1] = rows[0], cols[0]  # duplicate a cell across elements
-    broken = LiftingBasis(basis.structure, basis.n, basis.dims, rows, cols,
-                          basis.element, basis.offsets, basis.support_counts,
-                          basis.coefficients)
+    broken = dataclasses.replace(basis, rows=rows, cols=cols)
     report = validate_basis(broken)
     assert not report.orthogonal
     assert report.first_failure is not None
@@ -170,3 +170,41 @@ def test_validate_flags_injected_duplicate():
 def test_adjoint_dim_mismatch():
     with pytest.raises(ValueError):
         adjoint(hankel_basis(3, 2), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("make,n,d", [
+    (hankel_basis, 21, 10),
+    (double_hankel_basis, 21, 14),
+])
+def test_lift_operator_real_adjoint(make, n, d):
+    # Re<forward(x), M> == Re<x, adjoint(M)> under positive cell weights,
+    # including the conjugating cells of the double-Hankel lift
+    basis = make(n, d)
+    rng = np.random.default_rng(12)
+    op = LiftOperator(basis, rng.uniform(0.1, 2.0, size=basis.rows.size))
+    for _ in range(20):
+        x = random_complex(rng, n)
+        m = (rng.normal(size=basis.dims)
+             + 1j * rng.normal(size=basis.dims))
+        lhs = np.vdot(op.forward(x), m).real
+        rhs = np.vdot(x, op.adjoint(m)).real
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize("make,n,d", [
+    (hankel_basis, 21, 10),
+    (double_hankel_basis, 21, 14),
+])
+def test_lift_operator_normal_diag(make, n, d):
+    basis = make(n, d)
+    rng = np.random.default_rng(13)
+    op = LiftOperator(basis, rng.uniform(0.1, 2.0, size=basis.rows.size))
+    for k in range(n):
+        e = np.zeros(n, dtype=complex)
+        e[k] = 1.0
+        expected = np.zeros(n)
+        expected[k] = op.normal_diag[k]
+        np.testing.assert_allclose(op.adjoint(op.forward(e)), expected,
+                                   rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(LiftOperator(basis).normal_diag,
+                                  basis.support_counts)

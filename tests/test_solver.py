@@ -124,22 +124,6 @@ def test_complete_objective_is_weighted_nuclear_norm():
     np.testing.assert_allclose(result.objective, nuc, rtol=1e-9)
 
 
-def test_complete_dense_weights_cg_path():
-    # a small rotation makes the weights non-diagonal, exercising the CG
-    # inner solver; recovery quality should survive
-    basis = hankel_basis(21, 10)
-    y = synthesize(random_mixture(21, 2, np.random.default_rng(8)))
-    sset = sample_uniform_m(21, 16, seed=6)
-    theta = 0.2
-    rot = np.eye(10, dtype=complex)
-    rot[:2, :2] = [[np.cos(theta), -np.sin(theta)],
-                   [np.sin(theta), np.cos(theta)]]
-    weights = WeightPair(rot, np.eye(12, dtype=complex))
-    assert not weights.diagonal_flag
-    result = complete(basis, weights, sset, y[sset.indices - 1])
-    assert relative_error(y, result.estimate) <= 1e-3
-
-
 def test_complete_double_hankel_structure():
     basis = double_hankel_basis(21, 14)
     y = synthesize(random_mixture(21, 2, np.random.default_rng(9)))
@@ -161,6 +145,18 @@ def test_complete_error_conditions():
     with pytest.raises(ValueError):
         complete(basis, weights, SampleSet(9, np.array([1, 2])),
                  np.array([1.0, np.nan]))
+    # sample sets over another index range than the basis covers
+    for universe, indices in ((12, [1, 11]), (7, [1, 2])):
+        with pytest.raises(ValueError):
+            complete(basis, weights, SampleSet(universe, np.array(indices)),
+                     np.array([1.0, 2.0]))
+    # weights shaped for another lift, and non-diagonal weights
+    for bad in (identity_weights((5, 5)),
+                WeightPair(np.ones((4, 4), dtype=complex),
+                           np.eye(6, dtype=complex))):
+        with pytest.raises(ValueError):
+            complete(basis, bad, SampleSet(9, np.array([1, 2])),
+                     np.array([1.0, 2.0]))
 
 
 def test_complete_annihilating_weights_rejected():

@@ -143,3 +143,28 @@ def test_two_stage_handles_degenerate_stage_one():
                                          np.zeros(9, dtype=complex))
     np.testing.assert_array_equal(result.estimate, np.zeros(9))
     assert weights.diagonal_flag
+
+
+def test_two_stage_reuses_stage_one_when_tuning_keeps_identity(monkeypatch):
+    # uniform sampling leaves the identity stationary for the tuner (see
+    # above), so stage 2 would only re-solve the stage-1 program
+    import wlift.solver
+    basis = hankel_basis(59, 30)
+    y = synthesize(random_mixture(59, 3, np.random.default_rng(7)))
+    sset = sample_uniform_m(59, 40, seed=0)
+    obs = y[sset.indices - 1]
+    direct = wlift.solver.complete(basis, identity_weights(basis.dims),
+                                   sset, obs)
+    calls = []
+    original = wlift.solver.complete
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wlift.solver, "complete", counting)
+    weights, result = two_stage_pipeline(basis, sset, obs)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(result.estimate, direct.estimate)
+    assert result.iterations == direct.iterations
+    np.testing.assert_array_equal(weights.left_diag, np.ones(30))
