@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,13 @@ from .weights import TuneConfig, identity_weights, tune_diagonal_weights
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
 
+SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
+# every key some command reads; anything else in a --config file is a typo
+CONFIG_KEYS = frozenset((
+    "structure", "n", "d", "k", "m", "seed", "base_seed", "trials",
+    "weighting", "sample_counts", "sparsity_levels", "min_separation",
+    "etas") + SOLVER_KEYS)
+
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
@@ -40,6 +48,9 @@ def _load_config(path):
 
 
 def _resolve(config: dict, overrides: dict) -> dict:
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     merged = dict(config)
     for key, value in overrides.items():
         if value is not None:
@@ -55,10 +66,8 @@ def _write_sidecar(out_path, resolved: dict) -> None:
 
 
 def _solver_from(resolved: dict) -> SolverConfig:
-    fields = {k: resolved[k] for k in
-              ("max_iters", "penalty", "abs_tol", "rel_tol",
-               "success_threshold") if k in resolved}
-    return SolverConfig(**fields)
+    return SolverConfig(**{k: resolved[k] for k in SOLVER_KEYS
+                           if k in resolved})
 
 
 def _emit(out_path, text: str) -> None:

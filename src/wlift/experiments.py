@@ -38,6 +38,8 @@ __all__ = [
 
 STRUCTURES = ("hankel", "double-hankel")
 WEIGHTINGS = ("identity", "two_stage")
+# smallest chance of one random_mixture draw meeting min_separation
+MIN_DRAW_PROBABILITY = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,13 @@ def _check_separation(k: int, min_separation: float) -> None:
     if k * min_separation >= 1:
         raise ValueError(f"{k} frequencies cannot be {min_separation} apart "
                          "on the unit circle")
+    # K uniform points are all s apart with probability (1 - K s)^(K - 1);
+    # below MIN_DRAW_PROBABILITY the loop needs over a million draws
+    accept = (1 - k * min_separation) ** (k - 1)
+    if accept < MIN_DRAW_PROBABILITY:
+        raise ValueError(f"{k} frequencies {min_separation} apart on the unit "
+                         f"circle: a uniform draw meets that with probability "
+                         f"{accept:.1e}")
 
 
 def random_mixture(n: int, k: int, rng: np.random.Generator,

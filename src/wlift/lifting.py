@@ -17,6 +17,7 @@ weights, which is how the solver applies diagonal weight pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -72,6 +73,27 @@ class LiftingBasis:
                     + 1j * np.bincount(self.element, weights=vals.imag,
                                        minlength=self.n))
         return np.bincount(self.element, weights=vals, minlength=self.n)
+
+    @cached_property
+    def row_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cols_a, cols_b, element) over ordered same-row cell pairs.
+
+        Lists every ordered pair of cells (self-pairs included) that belong
+        to one element and share a row. Hankel rows never repeat within an
+        element, so there the pairs are just the cells; double-Hankel rows
+        repeat across its two blocks. Built on first use.
+        """
+        key = self.element * self.dims[0] + self.rows
+        order = np.argsort(key, kind="stable")
+        _, start, size = np.unique(key[order], return_index=True,
+                                   return_counts=True)
+        # sorted cell j pairs with each cell of its group, j itself included
+        group = np.repeat(size, size)
+        first = np.repeat(start, size)
+        a = np.repeat(np.arange(order.size), group)
+        rank = np.arange(a.size) - np.repeat(np.cumsum(group) - group, group)
+        ia, ib = order[a], order[np.repeat(first, group) + rank]
+        return self.cols[ia], self.cols[ib], self.element[ia]
 
     def element_dense(self, n: int) -> np.ndarray:
         r, c = self.pattern(n)

@@ -75,18 +75,16 @@ def subspace_of(basis: LiftingBasis, x: np.ndarray, rank_tol: float = 1e-8,
 
 
 def _right_product_norms(basis: LiftingBasis, g_right: np.ndarray) -> np.ndarray:
-    """||A_n @ G||_F^2 per element, exact even when pattern rows repeat."""
-    d1 = basis.dims[0]
-    out = np.empty(basis.n)
-    for k in range(basis.n):
-        r, c = basis.pattern(k)
-        if np.unique(r).size == r.size:
-            out[k] = np.sum(np.abs(g_right[c, :]) ** 2) / basis.support_counts[k]
-        else:
-            acc = np.zeros((d1, g_right.shape[1]), dtype=complex)
-            np.add.at(acc, r, g_right[c, :])
-            out[k] = np.sum(np.abs(acc) ** 2) / basis.support_counts[k]
-    return out
+    """||A_n @ G||_F^2 per element, exact even when pattern rows repeat.
+
+    Row r of A_n G sums G's rows c over element n's cells in row r, so
+    ||A_n G||_F^2 = (1/omega_n) sum Re (G G^H)[c, c'] over the ordered
+    pairs of those cells that share a row (`LiftingBasis.row_pairs`).
+    """
+    cols_a, cols_b, element = basis.row_pairs
+    pair_vals = (g_right @ g_right.conj().T)[cols_a, cols_b].real
+    return (np.bincount(element, weights=pair_vals, minlength=basis.n)
+            / basis.support_counts)
 
 
 def _left_product_norms(basis: LiftingBasis, g_left: np.ndarray) -> np.ndarray:
@@ -111,21 +109,37 @@ def leverage_scores(basis: LiftingBasis, subspace: SubspacePair) -> ScoreVector:
     return ScoreVector(vals, subspace.rank)
 
 
-def _oblique_projectors(weights: WeightPair, subspace: SubspacePair):
-    """Left/right oblique projector matrices from the weighted subspace."""
-    u, v = subspace.left, subspace.right
-    wlu = weights.left.conj().T @ u
-    wrv = weights.right.conj().T @ v
-    gram_l = wlu.conj().T @ wlu
-    gram_r = wrv.conj().T @ wrv
-    for gram, side in ((gram_l, "left"), (gram_r, "right")):
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
-            raise SingularWeightsError(
-                f"{side} weight Gram matrix is ill-conditioned (cond={cond:.3e})")
-    proj_l = wlu @ np.linalg.solve(gram_l, wlu.conj().T)
-    proj_r = wrv @ np.linalg.solve(gram_r, wrv.conj().T)
-    return proj_l, proj_r
+def _side_norms(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
+               side: str) -> np.ndarray:
+    """Per-element squared norms of A_n under one side's oblique projection.
+
+    P = W^H Q (Q^H W W^H Q)^-1 Q^H W, with Q = U for side "left" (returns
+    ||P A_n||_F^2) and Q = V for side "right" (returns ||A_n P||_F^2).
+    w is a dense weight matrix, or the real diagonal of a diagonal one, in
+    which case W^H Q is a row scaling of Q. Raises SingularWeightsError
+    when the K x K Gram matrix is numerically singular.
+    """
+    wq = w[:, None] * q if w.ndim == 1 else w.conj().T @ q
+    gram = wq.conj().T @ wq
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
+        raise SingularWeightsError(
+            f"{side} weight Gram matrix is ill-conditioned (cond={cond:.3e})")
+    proj = wq @ np.linalg.solve(gram, wq.conj().T)
+    if side == "left":
+        return _left_product_norms(basis, proj)
+    return _right_product_norms(basis, proj)
+
+
+def _oblique_norms(basis: LiftingBasis, weights: WeightPair,
+                   subspace: SubspacePair):
+    """Left/right per-element norms under the oblique projections."""
+    if weights.diagonal_flag:
+        wl, wr = weights.left_diag, weights.right_diag
+    else:
+        wl, wr = weights.left, weights.right
+    return (_side_norms(basis, np.asarray(wl), subspace.left, "left"),
+            _side_norms(basis, np.asarray(wr), subspace.right, "right"))
 
 
 def weighted_leverage_scores(basis: LiftingBasis, weights: WeightPair,
@@ -135,9 +149,7 @@ def weighted_leverage_scores(basis: LiftingBasis, weights: WeightPair,
     P_U(Y) = W_L^H U (U^H W_L W_L^H U)^-1 U^H W_L Y and its right-hand
     mirror; the K x K Gram inverses are formed once and shared across n.
     """
-    proj_l, proj_r = _oblique_projectors(weights, subspace)
-    left = _left_product_norms(basis, proj_l)
-    right = _right_product_norms(basis, proj_r)
+    left, right = _oblique_norms(basis, weights, subspace)
     vals = basis.n / subspace.rank * np.maximum(left, right)
     return ScoreVector(vals, subspace.rank)
 
@@ -181,9 +193,7 @@ class IncoherenceResult(NamedTuple):
 def incoherence_check(basis: LiftingBasis, weights: WeightPair,
                       subspace: SubspacePair) -> IncoherenceResult:
     """1/(8 sqrt(log N)) <= min_i omega_i * min(||P_U(A_i)||^2, ||P_V(A_i)||^2)."""
-    proj_l, proj_r = _oblique_projectors(weights, subspace)
-    left = _left_product_norms(basis, proj_l)
-    right = _right_product_norms(basis, proj_r)
+    left, right = _oblique_norms(basis, weights, subspace)
     rhs = float(np.min(basis.support_counts * np.minimum(left, right)))
     lhs = 1.0 / (8.0 * math.sqrt(math.log(basis.n)))
     return IncoherenceResult(lhs, rhs, lhs <= rhs)

@@ -135,8 +135,8 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     converged = False
     it = 0
 
+    bg = op.forward(g)
     for it in range(1, config.max_iters + 1):
-        bg = op.forward(g)
         z_new = svt(bg + lam / rho, 1.0 / rho)
 
         target = z_new - lam / rho
@@ -146,7 +146,7 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
         else:
             _ball_project(g, obs0, observed, radius)
 
-        bg = op.forward(g)
+        bg = op.forward(g)  # also the next iteration's lift of g
         r = bg - z_new
         s = rho * (z_new - z)
         lam += rho * r
@@ -166,6 +166,5 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
         elif dual > 10 * primal:
             rho /= 2.0
 
-    objective = float(peak) * float(
-        np.linalg.svd(op.forward(g), compute_uv=False).sum())
+    objective = float(peak) * float(np.linalg.svd(bg, compute_uv=False).sum())
     return CompletionResult(g, it, primal, dual, objective, converged)

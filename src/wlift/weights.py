@@ -93,12 +93,6 @@ class TuneResult:
     fell_back: bool = False     # set when tuning hit singular weights
 
 
-def _unobserved_score_sum(basis, weights, subspace, unobserved) -> float:
-    from .scores import weighted_leverage_scores
-    mu = weighted_leverage_scores(basis, weights, subspace)
-    return float(mu.values[unobserved - 1].sum())
-
-
 def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
                           pilot_subspace, config: TuneConfig = TuneConfig()
                           ) -> TuneResult:
@@ -107,11 +101,14 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
     Starts from identity, perturbs one diagonal entry at a time by the
     configured multiplicative factors, and keeps strict improvements,
     clipping at min_weight. The pilot subspace stays fixed throughout;
-    only the oblique projections move with the weights. Returns identity
-    weights when nothing improves (including the fully observed case,
-    where the objective is an empty sum).
+    only the oblique projections move with the weights. A step on the
+    left diagonal moves only the left projection and a step on the right
+    only the right one, so each step recomputes the per-element norms of
+    the side it moved. Returns identity weights when nothing improves
+    (including the fully observed case, where the objective is an empty
+    sum).
     """
-    from .scores import SingularWeightsError
+    from .scores import SingularWeightsError, _side_norms
 
     d1, d2 = basis.dims
     unobserved = sample_set.complement()
@@ -121,23 +118,27 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
 
     wl = np.ones(d1)
     wr = np.ones(d2)
+    sides = ((wl, pilot_subspace.left, "left"),
+             (wr, pilot_subspace.right, "right"))
+    scale = basis.n / pilot_subspace.rank
 
-    def evaluate(wl, wr) -> float:
-        return _unobserved_score_sum(
-            basis, diagonal_weights(wl, wr), pilot_subspace, unobserved)
+    def objective(left, right) -> float:
+        # the unobserved sum of weighted_leverage_scores; max is symmetric
+        return float((scale * np.maximum(left, right))[unobserved - 1].sum())
 
     try:
-        baseline = evaluate(wl, wr)
+        norms = [_side_norms(basis, w, q, name) for w, q, name in sides]
     except SingularWeightsError:
         return TuneResult(identity, float("nan"), float("nan"), 0,
                           fell_back=True)
+    baseline = objective(*norms)
 
     best = baseline
     sweeps = 0
     for sweep in range(config.max_iters):
         sweeps = sweep + 1
         before = best
-        for w in (wl, wr):
+        for side, (w, q, name) in enumerate(sides):
             for i in range(w.size):
                 kept = w[i]
                 for fac in config.step_factors:
@@ -146,12 +147,14 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
                         continue
                     w[i] = trial
                     try:
-                        val = evaluate(wl, wr)
+                        moved = _side_norms(basis, w, q, name)
+                        val = objective(moved, norms[1 - side])
                     except SingularWeightsError:
                         val = np.inf
                     if val < best:
                         best = val
                         kept = trial
+                        norms[side] = moved
                     else:
                         w[i] = kept
         if before - best < config.rel_tol * max(abs(before), 1.0):

@@ -72,6 +72,15 @@ def test_config_file_invalid_json(tmp_path):
     assert main(["complete", "--config", str(cfg)]) == 1
 
 
+def test_config_file_unknown_key_is_usage_error(tmp_path, capsys):
+    # a misspelled max_iters must not silently run the default solve
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"structure": "hankel", "n": 21, "d": 10,
+                               "k": 1, "m": 15, "seed": 2, "max_iter": 1}))
+    assert main(["complete", "--config", str(cfg)]) == 1
+    assert "max_iter" in capsys.readouterr().err
+
+
 def test_config_file_missing(tmp_path):
     assert main(["complete", "--config", str(tmp_path / "none.json")]) == 1
 
@@ -101,10 +110,13 @@ def test_phase_requires_out(capsys):
 
 def test_phase_invalid_grid_is_usage_error(tmp_path):
     cfg = tmp_path / "grid.json"
-    # M above N; then a separation no K = 4 draw can meet
+    # M above N; a separation no K = 4 draw can meet; one that K = 10
+    # uniform draws meet with probability 1e-9
     for grid in ({"sample_counts": [40], "sparsity_levels": [1]},
                  {"sample_counts": [10], "sparsity_levels": [4],
-                  "min_separation": 0.3}):
+                  "min_separation": 0.3},
+                 {"sample_counts": [10], "sparsity_levels": [10],
+                  "min_separation": 0.09}):
         cfg.write_text(json.dumps({"n": 21, "d": 10, "trials": 1, **grid}))
         assert main(["phase", "--config", str(cfg),
                      "--out", str(tmp_path / "x.dat")]) == 1

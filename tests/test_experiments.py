@@ -87,7 +87,11 @@ def test_phase_grid_validation():
     # such a grid's mixtures would never finish
     with pytest.raises(ValueError):
         PhaseGrid((40,), (2, 4), min_separation=0.25)
-    PhaseGrid((40,), (2, 4), min_separation=0.24)
+    # feasible, but ten uniform frequencies are 0.09 apart with probability
+    # (1 - 0.9)^9 = 1e-9, so the rejection loop would effectively hang
+    with pytest.raises(ValueError):
+        PhaseGrid((40,), (2, 10), min_separation=0.09)
+    PhaseGrid((40,), (2, 4), min_separation=0.24)  # probability 6.4e-5
 
 
 def test_success_surface_shape_check():

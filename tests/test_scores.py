@@ -5,7 +5,8 @@ import pytest
 
 from wlift.experiments import random_mixture
 from wlift.lifting import double_hankel_basis, hankel_basis
-from wlift.scores import (SingularWeightsError, a_norm_2, a_norm_inf,
+from wlift.scores import (SingularWeightsError, _right_product_norms,
+                          a_norm_2, a_norm_inf,
                           corollary_beta, diag_weight_bound, incoherence_check,
                           leverage_scores, lifting_coefficient,
                           probability_floor, scores_to_text, subspace_of,
@@ -60,6 +61,19 @@ def test_leverage_scores_match_dense_oracle():
         mu = leverage_scores(basis, sub)
         np.testing.assert_allclose(mu.values, dense_leverage_scores(basis, sub),
                                    rtol=1e-10)
+
+
+def test_right_product_norms_match_dense_definition():
+    # double-Hankel rows repeat within an element (one cell per block), so
+    # cross terms between same-row cells must be counted
+    rng = np.random.default_rng(8)
+    for basis in (hankel_basis(9, 4), double_hankel_basis(9, 4)):
+        g = (rng.standard_normal((basis.dims[1], 5))
+             + 1j * rng.standard_normal((basis.dims[1], 5)))
+        dense = [np.linalg.norm(basis.element_dense(k) @ g) ** 2
+                 for k in range(basis.n)]
+        np.testing.assert_allclose(_right_product_norms(basis, g), dense,
+                                   rtol=1e-12)
 
 
 def test_full_subspace_scores_bounded():

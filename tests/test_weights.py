@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wlift.experiments import random_mixture
-from wlift.lifting import hankel_basis
+from wlift.lifting import double_hankel_basis, hankel_basis
 from wlift.scores import subspace_of, weighted_leverage_scores
 from wlift.signal import SampleSet, sample_uniform_m, synthesize
 from wlift.solver import SolverConfig, relative_error
@@ -84,6 +84,24 @@ def test_tune_improves_on_skewed_observations():
                                     TuneConfig(max_iters=6))
         improved += res.objective < 0.5 * res.baseline
     assert improved == 10
+
+
+def test_tune_objective_matches_weighted_scores_double_hankel():
+    # the tuner keeps per-side norms between steps; its objective must
+    # still be the unobserved score sum at the weights it returns (scores
+    # are scale-invariant, so the Frobenius normalisation does not matter)
+    basis = double_hankel_basis(21, 10)
+    sub = subspace_of(basis, synthesize(random_mixture(
+        21, 2, np.random.default_rng(1))))
+    sset = sample_uniform_m(21, 10, seed=1)
+    res = tune_diagonal_weights(basis, sset, sub)
+    assert res.objective < res.baseline
+    # both diagonals move, so steps on each side are scored against the
+    # other side's committed norms
+    assert np.ptp(res.weights.left_diag) > 0
+    assert np.ptp(res.weights.right_diag) > 0
+    recomputed = unobserved_score_sum(basis, res.weights, sub, sset)
+    np.testing.assert_allclose(res.objective, recomputed, rtol=1e-12)
 
 
 def test_tune_uniform_sampling_keeps_identity_stationary():
