@@ -130,8 +130,9 @@ def random_mixture(n: int, k: int, rng: np.random.Generator,
         freqs = rng.random(k)
         if min_separation <= 0 or k == 1:
             break
-        gaps = np.diff(np.sort(freqs))
-        wrap = 1.0 - np.sort(freqs)[-1] + np.sort(freqs)[0]
+        ordered = np.sort(freqs)
+        gaps = np.diff(ordered)
+        wrap = 1.0 - ordered[-1] + ordered[0]
         if np.all(gaps >= min_separation) and wrap >= min_separation:
             break
     phases = rng.random(k) * 2 * np.pi

@@ -147,14 +147,11 @@ class BasisReport:
     equal_positive_entries: bool
     orthogonal: bool
     column_sparsity: bool
-    positive_coefficients: bool
     first_failure: Optional[Tuple[str, int]] = None
 
     @property
     def all_pass(self) -> bool:
-        return (self.unit_frobenius and self.equal_positive_entries
-                and self.orthogonal and self.column_sparsity
-                and self.positive_coefficients)
+        return self.first_failure is None
 
 
 def make_basis(structure: str, n: int, dims: Tuple[int, int],
@@ -249,57 +246,31 @@ def adjoint(basis: LiftingBasis, m: np.ndarray) -> np.ndarray:
     return LiftOperator(basis).adjoint(m) / basis.support_counts
 
 
-def validate_basis(basis: LiftingBasis, tol: float = 1e-12) -> BasisReport:
-    """Check the four lifting-basis conditions plus coefficient positivity.
+def _repeated(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose key already occurs at an earlier position."""
+    mask = np.ones(keys.size, dtype=bool)
+    mask[np.unique(keys, return_index=True)[1]] = False
+    return mask
 
-    Failures never raise; they are recorded with the first offending
-    element index (0-based).
+
+def validate_basis(basis: LiftingBasis) -> BasisReport:
+    """Check the four lifting-basis conditions on the stored patterns.
+
+    Failures never raise; the report records the first failing condition,
+    in the order below, with its first offending element index (0-based).
     """
-    first: Optional[Tuple[str, int]] = None
-
-    def note(name: str, idx: int):
-        nonlocal first
-        if first is None:
-            first = (name, idx)
-
-    unit_frob = True
-    equal_entries = True
-    for k in range(basis.n):
-        lo, hi = basis.offsets[k], basis.offsets[k + 1]
-        omega = hi - lo
-        if omega != basis.support_counts[k]:
-            unit_frob = False
-            note("unit_frobenius", k)
-        # entries are 1/sqrt(omega) by construction; Frobenius norm is then
-        # sqrt(omega * (1/omega)) = 1 whenever counts agree
-        if omega < 1:
-            equal_entries = False
-            note("equal_positive_entries", k)
-
-    # orthogonality: disjoint supports with equal-sign entries
-    flat = basis.rows * basis.dims[1] + basis.cols
-    orthogonal = True
-    uniq, idx_first = np.unique(flat, return_index=True)
-    if uniq.size != flat.size:
-        orthogonal = False
-        seen = np.zeros(basis.dims[0] * basis.dims[1], dtype=bool)
-        for j, cell in enumerate(flat):
-            if seen[cell]:
-                note("orthogonal", int(basis.element[j]))
-                break
-            seen[cell] = True
-
-    column_ok = True
-    for k in range(basis.n):
-        _, c = basis.pattern(k)
-        if np.unique(c).size != c.size:
-            column_ok = False
-            note("column_sparsity", k)
-            break
-
-    coeff_ok = bool(np.all(basis.coefficients > 0))
-    if not coeff_ok:
-        note("positive_coefficients", int(np.argmax(basis.coefficients <= 0)))
-
-    return BasisReport(unit_frob, equal_entries, orthogonal, column_ok,
-                       coeff_ok, first)
+    d2 = basis.dims[1]
+    offenders = {
+        # entries are 1/sqrt(omega_n): unit norm iff omega_n counts the cells
+        "unit_frobenius": np.flatnonzero(
+            np.diff(basis.offsets) != basis.support_counts),
+        "equal_positive_entries": np.flatnonzero(basis.support_counts < 1),
+        # equal-sign entries are orthogonal iff no cell is shared
+        "orthogonal": basis.element[_repeated(basis.rows * d2 + basis.cols)],
+        "column_sparsity": basis.element[
+            _repeated(basis.element * d2 + basis.cols)],
+    }
+    first = next(((name, int(found[0])) for name, found in offenders.items()
+                  if found.size), None)
+    return BasisReport(*(found.size == 0 for found in offenders.values()),
+                       first)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,16 +58,13 @@ class ScoreVector:
     rank_used: int
 
 
-def subspace_of(basis: LiftingBasis, x: np.ndarray, rank_tol: float = 1e-8,
-                weights: Optional[WeightPair] = None) -> SubspacePair:
-    """SVD subspace of L(x), or of W_L L(x) W_R^H when weights are given.
+def subspace_of(basis: LiftingBasis, x: np.ndarray,
+                rank_tol: float = 1e-8) -> SubspacePair:
+    """SVD subspace of L(x).
 
     Singular values below rank_tol times the largest are discarded.
     """
-    m = lift(basis, x)
-    if weights is not None:
-        m = weights.left @ m @ weights.right.conj().T
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    u, s, vh = np.linalg.svd(lift(basis, x), full_matrices=False)
     if s.size == 0 or s[0] == 0:
         raise ValueError("zero matrix has no subspace")
     k = int(np.count_nonzero(s > rank_tol * s[0]))
@@ -115,11 +112,10 @@ def _side_norms(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
 
     P = W^H Q (Q^H W W^H Q)^-1 Q^H W, with Q = U for side "left" (returns
     ||P A_n||_F^2) and Q = V for side "right" (returns ||A_n P||_F^2).
-    w is a dense weight matrix, or the real diagonal of a diagonal one, in
-    which case W^H Q is a row scaling of Q. Raises SingularWeightsError
-    when the K x K Gram matrix is numerically singular.
+    w is the real weight diagonal, so W^H Q is a row scaling of Q. Raises
+    SingularWeightsError when the K x K Gram matrix is numerically singular.
     """
-    wq = w[:, None] * q if w.ndim == 1 else w.conj().T @ q
+    wq = w[:, None] * q
     gram = wq.conj().T @ wq
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
@@ -134,12 +130,8 @@ def _side_norms(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
 def _oblique_norms(basis: LiftingBasis, weights: WeightPair,
                    subspace: SubspacePair):
     """Left/right per-element norms under the oblique projections."""
-    if weights.diagonal_flag:
-        wl, wr = weights.left_diag, weights.right_diag
-    else:
-        wl, wr = weights.left, weights.right
-    return (_side_norms(basis, np.asarray(wl), subspace.left, "left"),
-            _side_norms(basis, np.asarray(wr), subspace.right, "right"))
+    return (_side_norms(basis, weights.left_diag, subspace.left, "left"),
+            _side_norms(basis, weights.right_diag, subspace.right, "right"))
 
 
 def weighted_leverage_scores(basis: LiftingBasis, weights: WeightPair,
@@ -246,13 +238,11 @@ def diag_weight_bound(basis: LiftingBasis, weights: WeightPair, beta: float,
     bound_n = max( ||W_L A_n||_F^2 / S_L , ||A_n W_R^T||_F^2 / S_R ) where
     S_L, S_R sum the floor(N / (beta K)) smallest squared diagonal weights.
     """
-    if not weights.diagonal_flag:
-        raise ValueError("bound applies to diagonal weights only")
     count = int(basis.n // (beta * rank))
     if count < 1:
         raise ValueError("empty partial sum: floor(N / (beta K)) is zero")
-    wl_sq = np.asarray(weights.left_diag) ** 2
-    wr_sq = np.asarray(weights.right_diag) ** 2
+    wl_sq = weights.left_diag ** 2
+    wr_sq = weights.right_diag ** 2
     s_l = np.sort(wl_sq)[:count].sum()
     s_r = np.sort(wr_sq)[:count].sum()
     left = basis.element_sum(wl_sq[basis.rows]) / basis.support_counts

@@ -89,8 +89,7 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
 
     noise_bound=None enforces P_Omega(g) = y_Omega exactly; a nonnegative
     noise_bound eta relaxes it to ||P_Omega(g) - y_Omega||_2 <= sqrt(M) eta.
-    Only diagonal weight pairs are supported. Iteration exhaustion returns
-    converged=False rather than raising.
+    Iteration exhaustion returns converged=False rather than raising.
     """
     observed = np.asarray(observed, dtype=complex)
     if sample_set.size == 0:
@@ -102,14 +101,11 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     if sample_set.universe != basis.n:
         raise ValueError(f"sample set covers {sample_set.universe} indices, "
                          f"the basis {basis.n}")
-    if not weights.diagonal_flag:
-        raise ValueError("only diagonal weight pairs are supported")
     if weights.dims != basis.dims:
         raise ValueError(f"weights of shape {weights.dims} do not match "
                          f"the {basis.dims} lift")
 
-    wl = np.asarray(weights.left_diag, dtype=float)
-    wr = np.asarray(weights.right_diag, dtype=float)
+    wl, wr = weights.left_diag, weights.right_diag
     # rescale so the largest cell weight is 1; pure rescaling of the
     # objective, but it keeps the ADMM tolerances meaningful
     cell = wl[basis.rows] * wr[basis.cols]

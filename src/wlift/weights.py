@@ -29,39 +29,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightPair:
-    """Left/right weight matrices with a diagonal fast path.
+    """Diagonal weights W_L = diag(left_diag), W_R = diag(right_diag).
 
-    When diagonal_flag is set, left_diag/right_diag hold the nonnegative
-    real diagonals (the sqrt-w form) and the dense matrices are their
-    diag embeddings.
+    Both diagonals are nonnegative reals (the sqrt-w form).
     """
 
-    left: np.ndarray
-    right: np.ndarray
-    diagonal_flag: bool = False
-    left_diag: Optional[np.ndarray] = None
-    right_diag: Optional[np.ndarray] = None
+    left_diag: np.ndarray
+    right_diag: np.ndarray
+    diagonal_flag = True  # not a field; bench/spans.py reads it
 
     def __post_init__(self):
-        if self.diagonal_flag:
-            if self.left_diag is None or self.right_diag is None:
-                raise ValueError("diagonal weights need explicit diagonals")
-            if np.any(np.asarray(self.left_diag) < 0) or \
-               np.any(np.asarray(self.right_diag) < 0):
+        for name in ("left_diag", "right_diag"):
+            diag = np.asarray(getattr(self, name))
+            if diag.ndim != 1:
+                raise ValueError(f"{name} must be a 1-D diagonal, "
+                                 f"got shape {diag.shape}")
+            diag = diag.astype(float, copy=False)
+            if np.any(diag < 0):
                 raise ValueError("diagonal weights must be nonnegative")
+            object.__setattr__(self, name, diag)
 
     @property
     def dims(self) -> Tuple[int, int]:
-        return self.left.shape[0], self.right.shape[0]
+        return self.left_diag.size, self.right_diag.size
 
     def frobenius_normalized(self) -> "WeightPair":
-        fl = np.linalg.norm(self.left)
-        fr = np.linalg.norm(self.right)
+        fl = np.linalg.norm(self.left_diag)
+        fr = np.linalg.norm(self.right_diag)
         if fl == 0 or fr == 0:
             raise ValueError("weight matrices must have positive norm")
-        if self.diagonal_flag:
-            return diagonal_weights(self.left_diag / fl, self.right_diag / fr)
-        return WeightPair(self.left / fl, self.right / fr)
+        return WeightPair(self.left_diag / fl, self.right_diag / fr)
 
 
 def identity_weights(dims: Tuple[int, int]) -> WeightPair:
@@ -70,10 +67,7 @@ def identity_weights(dims: Tuple[int, int]) -> WeightPair:
 
 
 def diagonal_weights(left_diag: np.ndarray, right_diag: np.ndarray) -> WeightPair:
-    ld = np.asarray(left_diag, dtype=float)
-    rd = np.asarray(right_diag, dtype=float)
-    return WeightPair(np.diag(ld).astype(complex), np.diag(rd).astype(complex),
-                      diagonal_flag=True, left_diag=ld, right_diag=rd)
+    return WeightPair(left_diag, right_diag)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wlift.lifting import (LiftOperator, adjoint, double_hankel_basis,
-                           hankel_basis, lift, validate_basis)
+                           hankel_basis, lift, make_basis, validate_basis)
 
 
 def random_complex(rng, n):
@@ -156,15 +156,38 @@ def test_hankel_patterns_tile_grid_once():
     assert abs(np.sum(basis.coefficients ** 2) - 30 * 30) < 1e-9
 
 
-def test_validate_flags_injected_duplicate():
+def _duplicate_cell():
     basis = hankel_basis(3, 2)
     rows = basis.rows.copy()
     cols = basis.cols.copy()
     rows[-1], cols[-1] = rows[0], cols[0]  # duplicate a cell across elements
-    broken = dataclasses.replace(basis, rows=rows, cols=cols)
-    report = validate_basis(broken)
-    assert not report.orthogonal
-    assert report.first_failure is not None
+    return dataclasses.replace(basis, rows=rows, cols=cols)
+
+
+def _shared_column():
+    # element 1 puts both of its cells in column 0; no cell is shared
+    return make_basis("custom", 2, (2, 2),
+                      [(np.array([0]), np.array([1])),
+                       (np.array([0, 1]), np.array([0, 0]))])
+
+
+def _miscounted_support():
+    basis = hankel_basis(3, 2)
+    counts = basis.support_counts.copy()
+    counts[1] += 1  # omega_1 no longer counts element 1's cells
+    return dataclasses.replace(basis, support_counts=counts)
+
+
+@pytest.mark.parametrize("broken,flag", [
+    (_duplicate_cell, "orthogonal"),
+    (_shared_column, "column_sparsity"),
+    (_miscounted_support, "unit_frobenius"),
+], ids=["orthogonal", "column_sparsity", "unit_frobenius"])
+def test_validate_flags_injected_duplicate(broken, flag):
+    report = validate_basis(broken())
+    assert not getattr(report, flag)
+    assert not report.all_pass
+    assert report.first_failure[0] == flag
 
 
 def test_adjoint_dim_mismatch():

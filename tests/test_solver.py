@@ -7,7 +7,7 @@ from wlift.signal import (Mixture, NoiseSpec, SampleSet, add_noise,
                           sample_uniform_m, synthesize)
 from wlift.solver import (CompletionResult, SolverConfig, complete,
                           relative_error, svt)
-from wlift.weights import WeightPair, diagonal_weights, identity_weights
+from wlift.weights import diagonal_weights, identity_weights
 
 
 def grid_search_oracle(obs, indices, n):
@@ -118,8 +118,8 @@ def test_complete_objective_is_weighted_nuclear_norm():
     weights = diagonal_weights(0.5 + np.arange(10) / 10.0,
                                np.ones(12) * 2.0)
     result = complete(basis, weights, sset, y[sset.indices - 1])
-    lifted = weights.left @ lift(basis, result.estimate) @ \
-        weights.right.conj().T
+    lifted = (weights.left_diag[:, None] * lift(basis, result.estimate)
+              * weights.right_diag[None, :])
     nuc = np.linalg.svd(lifted, compute_uv=False).sum()
     np.testing.assert_allclose(result.objective, nuc, rtol=1e-9)
 
@@ -150,13 +150,10 @@ def test_complete_error_conditions():
         with pytest.raises(ValueError):
             complete(basis, weights, SampleSet(universe, np.array(indices)),
                      np.array([1.0, 2.0]))
-    # weights shaped for another lift, and non-diagonal weights
-    for bad in (identity_weights((5, 5)),
-                WeightPair(np.ones((4, 4), dtype=complex),
-                           np.eye(6, dtype=complex))):
-        with pytest.raises(ValueError):
-            complete(basis, bad, SampleSet(9, np.array([1, 2])),
-                     np.array([1.0, 2.0]))
+    # weights shaped for another lift
+    with pytest.raises(ValueError):
+        complete(basis, identity_weights((5, 5)),
+                 SampleSet(9, np.array([1, 2])), np.array([1.0, 2.0]))
 
 
 def test_complete_annihilating_weights_rejected():

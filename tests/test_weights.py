@@ -19,28 +19,31 @@ def unobserved_score_sum(basis, weights, sub, sset):
 def test_identity_weights_shape_and_values():
     w = identity_weights((4, 6))
     assert w.dims == (4, 6)
-    assert w.diagonal_flag
-    np.testing.assert_array_equal(w.left, np.eye(4))
-    np.testing.assert_array_equal(w.right, np.eye(6))
+    np.testing.assert_array_equal(w.left_diag, np.ones(4))
+    np.testing.assert_array_equal(w.right_diag, np.ones(6))
 
 
 def test_diagonal_weights_embedding():
     w = diagonal_weights([1.0, 2.0], [3.0, 4.0, 5.0])
-    np.testing.assert_array_equal(np.diag(w.left).real, [1, 2])
-    np.testing.assert_array_equal(np.diag(w.right).real, [3, 4, 5])
+    np.testing.assert_array_equal(w.left_diag, [1, 2])
+    np.testing.assert_array_equal(w.right_diag, [3, 4, 5])
     with pytest.raises(ValueError):
         diagonal_weights([-1.0, 1.0], [1.0])
 
 
 def test_weight_pair_requires_diagonals_when_flagged():
-    with pytest.raises(ValueError):
-        WeightPair(np.eye(2), np.eye(2), diagonal_flag=True)
+    # matrices where diagonals belong, square or not, fail at construction
+    for left, right in ((np.eye(2), np.eye(2)),
+                        (np.ones((4, 4), dtype=complex),
+                         np.eye(6, dtype=complex))):
+        with pytest.raises(ValueError):
+            WeightPair(left, right)
 
 
 def test_frobenius_normalization():
     w = diagonal_weights([3.0, 4.0], [1.0, 1.0]).frobenius_normalized()
-    assert abs(np.linalg.norm(w.left) - 1.0) < 1e-12
-    assert abs(np.linalg.norm(w.right) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(w.left_diag) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(w.right_diag) - 1.0) < 1e-12
     # direction preserved
     np.testing.assert_allclose(w.left_diag[1] / w.left_diag[0], 4 / 3,
                                rtol=1e-12)
@@ -140,7 +143,7 @@ def test_two_stage_fully_observed_recovers_exactly():
     sset = sample_uniform_m(21, 21, seed=0)
     weights, result = two_stage_pipeline(basis, sset, y[sset.indices - 1])
     assert relative_error(y, result.estimate) <= 1e-9
-    assert weights.diagonal_flag
+    assert weights.dims == basis.dims
 
 
 def test_two_stage_recovers_undersampled_instance():
@@ -160,7 +163,7 @@ def test_two_stage_handles_degenerate_stage_one():
     weights, result = two_stage_pipeline(basis, sset,
                                          np.zeros(9, dtype=complex))
     np.testing.assert_array_equal(result.estimate, np.zeros(9))
-    assert weights.diagonal_flag
+    assert weights.dims == basis.dims
 
 
 def test_two_stage_reuses_stage_one_when_tuning_keeps_identity(monkeypatch):
