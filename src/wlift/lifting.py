@@ -8,10 +8,12 @@ holds x_n; the back projection inverts it coordinate-wise. A basis may
 mark some cells as conjugating, in which case those cells carry conj(x_n)
 and the lift is real-linear instead of complex-linear.
 
-Patterns are kept as flat coordinate arrays grouped by element, so the
-lift and its adjoint are plain fancy-indexing operations. `LiftOperator`
-is the one implementation of both; it also carries optional per-cell
-weights, which is how the solver applies diagonal weight pairs.
+Patterns are kept as flat coordinate arrays grouped by element, and each
+basis derives (once, on first use) the flat index arrays that make the
+lift one gather and its adjoint one gather plus one `bincount`.
+`LiftOperator` is the one implementation of both; it also carries
+optional per-cell weights, which is how the solver applies diagonal
+weight pairs.
 """
 
 from __future__ import annotations
@@ -68,11 +70,37 @@ class LiftingBasis:
     def element_sum(self, vals: np.ndarray) -> np.ndarray:
         """Sum flat per-cell values (aligned with rows/cols) over each element."""
         if np.iscomplexobj(vals):
-            return (np.bincount(self.element, weights=vals.real,
-                                minlength=self.n)
-                    + 1j * np.bincount(self.element, weights=vals.imag,
-                                       minlength=self.n))
+            # one bincount over the (re, im) floats; each part still adds
+            # its element's cells in pattern order
+            vals = np.ascontiguousarray(vals, dtype=complex).view(float)
+            return np.bincount(self.split_element, weights=vals,
+                               minlength=2 * self.n).view(complex)
         return np.bincount(self.element, weights=vals, minlength=self.n)
+
+    @cached_property
+    def split_element(self) -> np.ndarray:
+        """Bins (2 element, 2 element + 1) of each cell's (re, im) pair."""
+        return np.stack((2 * self.element, 2 * self.element + 1),
+                        axis=1).ravel()
+
+    @cached_property
+    def flat_cells(self) -> np.ndarray:
+        """Row-major grid position rows * d2 + cols of each cell."""
+        return self.rows * self.dims[1] + self.cols
+
+    @cached_property
+    def lift_source(self) -> np.ndarray:
+        """Per grid position, the index of its value in [x, conj(x), 0].
+
+        A cell of element n reads x_n (index n), or conj(x_n) (index N + n)
+        when it conjugates; positions outside every pattern read the
+        trailing zero (index 2N).
+        """
+        source = np.full(self.dims[0] * self.dims[1], 2 * self.n)
+        source[self.flat_cells] = self.element
+        if self.conjugated is not None:
+            source[self.flat_cells[self.conjugated]] += self.n
+        return source
 
     @cached_property
     def row_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,7 +134,7 @@ class LiftOperator:
     """The lift with optional positive per-cell weights.
 
     forward(x) puts cell[j] * x_n (conj(x_n) on conjugating cells) at each
-    cell j of element n; cell=None means unit weights, i.e. the plain lift.
+    cell j of element n; cell=None or all-ones cells mean the plain lift.
     adjoint is the adjoint for the real inner product Re<.,.>, so it
     conjugates the conjugating cells back before summing. Patterns are
     disjoint, so adjoint(forward(.)) is diagonal with entries normal_diag,
@@ -114,28 +142,43 @@ class LiftOperator:
     """
 
     def __init__(self, basis: LiftingBasis, cell: Optional[np.ndarray] = None):
+        if cell is not None and np.all(cell == 1.0):
+            cell = None  # unit weights need no multiply
         self.basis = basis
-        self.cell = cell
         self.normal_diag = (basis.support_counts.astype(float) if cell is None
                             else basis.element_sum(cell ** 2))
+        # forward's work vector [x, conj(x), 0], read through basis.lift_source
+        self._padded = np.zeros(2 * basis.n + 1, dtype=complex)
+        self._grid_cell = None  # cell weights at their grid positions
+        if cell is not None:
+            self._grid_cell = np.zeros(basis.dims[0] * basis.dims[1])
+            self._grid_cell[basis.flat_cells] = cell
+        # per (re, im) float of each cell: its weight, negated on the
+        # imaginary part of conjugating cells
+        self._split_cell = None
+        if cell is not None or basis.conjugated is not None:
+            re = np.ones(basis.rows.size) if cell is None else cell
+            im = re if basis.conjugated is None \
+                else np.where(basis.conjugated, -re, re)
+            self._split_cell = np.stack((re, im), axis=1).ravel()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         b = self.basis
-        vals = x[b.element]
+        padded = self._padded
+        padded[:b.n] = x
         if b.conjugated is not None:
-            vals = np.where(b.conjugated, np.conj(vals), vals)
-        m = np.zeros(b.dims, dtype=complex)
-        # patterns are pairwise disjoint, so plain assignment accumulates nothing
-        m[b.rows, b.cols] = vals if self.cell is None else self.cell * vals
-        return m
+            np.conjugate(x, out=padded[b.n:2 * b.n])
+        m = padded[b.lift_source]
+        if self._grid_cell is not None:
+            m *= self._grid_cell
+        return m.reshape(b.dims)
 
     def adjoint(self, m: np.ndarray) -> np.ndarray:
+        """Adjoint of forward; m is a complex d1 x d2 array."""
         b = self.basis
-        vals = m[b.rows, b.cols]
-        if self.cell is not None:
-            vals = self.cell * vals
-        if b.conjugated is not None:
-            vals = np.where(b.conjugated, np.conj(vals), vals)
+        vals = m.reshape(-1)[b.flat_cells]
+        if self._split_cell is not None:
+            vals = (vals.view(float) * self._split_cell).view(complex)
         return b.element_sum(vals)
 
 

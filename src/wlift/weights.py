@@ -31,7 +31,7 @@ __all__ = [
 class WeightPair:
     """Diagonal weights W_L = diag(left_diag), W_R = diag(right_diag).
 
-    Both diagonals are nonnegative reals (the sqrt-w form).
+    Both diagonals are finite nonnegative reals (the sqrt-w form).
     """
 
     left_diag: np.ndarray
@@ -45,6 +45,8 @@ class WeightPair:
                 raise ValueError(f"{name} must be a 1-D diagonal, "
                                  f"got shape {diag.shape}")
             diag = diag.astype(float, copy=False)
+            if not np.all(np.isfinite(diag)):
+                raise ValueError(f"{name} has a non-finite entry")
             if np.any(diag < 0):
                 raise ValueError("diagonal weights must be nonnegative")
             object.__setattr__(self, name, diag)

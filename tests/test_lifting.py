@@ -231,3 +231,53 @@ def test_lift_operator_normal_diag(make, n, d):
                                    rtol=1e-14, atol=0)
     np.testing.assert_array_equal(LiftOperator(basis).normal_diag,
                                   basis.support_counts)
+
+
+def _reference_forward(basis, cell, x):
+    vals = x[basis.element]
+    if basis.conjugated is not None:
+        vals = np.where(basis.conjugated, np.conj(vals), vals)
+    m = np.zeros(basis.dims, dtype=complex)
+    m[basis.rows, basis.cols] = cell * vals
+    return m
+
+
+def _reference_adjoint(basis, cell, m):
+    vals = cell * m[basis.rows, basis.cols]
+    if basis.conjugated is not None:
+        vals = np.where(basis.conjugated, np.conj(vals), vals)
+    return (np.bincount(basis.element, weights=vals.real, minlength=basis.n)
+            + 1j * np.bincount(basis.element, weights=vals.imag,
+                               minlength=basis.n))
+
+
+def _partial_cover():
+    # 5 of 9 cells covered, two of them conjugating
+    return make_basis("custom", 3, (3, 3),
+                      [(np.array([0]), np.array([0])),
+                       (np.array([1, 2]), np.array([1, 0])),
+                       (np.array([0, 2]), np.array([1, 2]))],
+                      conjugated=[False, False, True, True, False])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hankel_basis(21, 10),
+    lambda: double_hankel_basis(21, 14),
+    _partial_cover,
+], ids=["hankel", "double-hankel", "partial-cover"])
+def test_lift_operator_matches_scatter_reference(make):
+    # the gather lift and one-bincount adjoint add in the same order as a
+    # 2-D scatter and per-part bincounts, so the results are equal, not close
+    basis = make()
+    assert validate_basis(basis).all_pass
+    rng = np.random.default_rng(14)
+    for cell in (rng.uniform(0.1, 2.0, size=basis.rows.size),
+                 np.ones(basis.rows.size)):
+        op = LiftOperator(basis, cell)
+        for _ in range(10):
+            x = random_complex(rng, basis.n)
+            m = (rng.normal(size=basis.dims)
+                 + 1j * rng.normal(size=basis.dims))
+            assert np.all(op.forward(x) == _reference_forward(basis, cell, x))
+            assert np.all(op.adjoint(m)
+                          == _reference_adjoint(basis, cell, m))

@@ -40,6 +40,15 @@ def test_weight_pair_requires_diagonals_when_flagged():
             WeightPair(left, right)
 
 
+def test_weight_pair_rejects_non_finite():
+    for left, right, name in (([np.nan, 1, 1, 1], np.ones(6), "left_diag"),
+                              (np.ones(4), [1, 1, np.inf, 1, 1, 1],
+                               "right_diag"),
+                              ([1, -np.inf, 1, 1], np.ones(6), "left_diag")):
+        with pytest.raises(ValueError, match=name):
+            diagonal_weights(left, right)
+
+
 def test_frobenius_normalization():
     w = diagonal_weights([3.0, 4.0], [1.0, 1.0]).frobenius_normalized()
     assert abs(np.linalg.norm(w.left_diag) - 1.0) < 1e-12
