@@ -21,10 +21,9 @@ from .experiments import (PhaseGrid, build_basis, emit_dat, noise_sweep,
 from .lifting import validate_basis
 from .scores import (SingularWeightsError, leverage_scores, lifting_coefficient,
                      scores_to_text, subspace_of)
-from .signal import (Mixture, mixture_from_text, mixture_to_text,
-                     sample_uniform_m, synthesize)
+from .signal import mixture_to_text, sample_uniform_m, synthesize
 from .solver import SolverConfig
-from .weights import TuneConfig, identity_weights, tune_diagonal_weights
+from .weights import TuneConfig, tune_diagonal_weights
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
@@ -41,21 +40,16 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    return json.loads(Path(path).read_text())
-
-
-def _resolve(config: dict, overrides: dict) -> dict:
+def _resolve(args) -> dict:
+    """The --config file's keys, overridden by every flag given a value."""
+    config = {} if args.config is None \
+        else json.loads(Path(args.config).read_text())
     unknown = sorted(set(config) - CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    merged = dict(config)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    return merged
+    flags = {key: value for key, value in vars(args).items()
+             if key in CONFIG_KEYS and value is not None}
+    return {**config, **flags}
 
 
 def _write_sidecar(out_path, resolved: dict) -> None:
@@ -77,11 +71,14 @@ def _emit(out_path, text: str) -> None:
         Path(out_path).write_text(text)
 
 
-def cmd_synth(args) -> int:
-    resolved = _resolve(_load_config(args.config), {
-        "n": args.n, "k": args.k, "seed": args.seed})
+def _seeded_mixture(resolved: dict):
     rng = np.random.default_rng(resolved.get("seed", 0))
-    mixture = experiments.random_mixture(resolved["n"], resolved.get("k", 1), rng)
+    return experiments.random_mixture(resolved["n"], resolved.get("k", 1), rng)
+
+
+def cmd_synth(args) -> int:
+    resolved = _resolve(args)
+    mixture = _seeded_mixture(resolved)
     y = synthesize(mixture)
     lines = [mixture_to_text(mixture).rstrip(), "# samples"]
     lines += [f"{v.real:.6f} {v.imag:.6f}" for v in y]
@@ -91,13 +88,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_scores(args) -> int:
-    resolved = _resolve(_load_config(args.config), {
-        "structure": args.structure, "n": args.n, "d": args.d,
-        "k": args.k, "seed": args.seed})
+    resolved = _resolve(args)
     basis = build_basis(resolved["structure"], resolved["n"], resolved["d"])
-    rng = np.random.default_rng(resolved.get("seed", 0))
-    mixture = experiments.random_mixture(resolved["n"], resolved.get("k", 1), rng)
-    sub = subspace_of(basis, synthesize(mixture))
+    sub = subspace_of(basis, synthesize(_seeded_mixture(resolved)))
     mu = leverage_scores(basis, sub)
     text = scores_to_text(mu)
     text += f"# R_L {_fmt(lifting_coefficient(basis))}\n"
@@ -107,10 +100,7 @@ def cmd_scores(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    resolved = _resolve(_load_config(args.config), {
-        "structure": args.structure, "n": args.n, "d": args.d,
-        "k": args.k, "m": args.m, "seed": args.seed,
-        "weighting": args.weighting})
+    resolved = _resolve(args)
     outcome = run_trial(resolved["n"], resolved["structure"], resolved["d"],
                         resolved.get("weighting", "identity"),
                         resolved["m"], resolved["k"], resolved.get("seed", 0),
@@ -126,13 +116,9 @@ def cmd_complete(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    resolved = _resolve(_load_config(args.config), {
-        "structure": args.structure, "n": args.n, "d": args.d,
-        "k": args.k, "m": args.m, "seed": args.seed})
+    resolved = _resolve(args)
     basis = build_basis(resolved["structure"], resolved["n"], resolved["d"])
-    rng = np.random.default_rng(resolved.get("seed", 0))
-    mixture = experiments.random_mixture(resolved["n"], resolved.get("k", 1), rng)
-    y = synthesize(mixture)
+    y = synthesize(_seeded_mixture(resolved))
     sset = sample_uniform_m(resolved["n"], resolved["m"],
                             seed=resolved.get("seed", 0))
     try:
@@ -156,23 +142,17 @@ def cmd_phase(args) -> int:
     if args.out is None:
         sys.stderr.write("phase requires --out\n")
         return USAGE_ERROR
-    resolved = _resolve(_load_config(args.config), {
-        "structure": args.structure, "n": args.n, "d": args.d,
-        "weighting": args.weighting, "trials": args.trials,
-        "base_seed": args.seed})
+    resolved = _resolve(args)
+    # the PhaseGrid fields a config sets (d is the pencil); its own
+    # defaults fill the rest
+    grid_keys = {"n", "structure", "d", "weighting", "trials", "base_seed",
+                 "min_separation"}
     grid = PhaseGrid(
-        sample_counts=tuple(resolved.get("sample_counts",
-                                         list(range(5, 60, 5)))),
-        sparsity_levels=tuple(resolved.get("sparsity_levels",
-                                           list(range(1, 11)))),
-        trials=resolved.get("trials", 20),
-        structure=resolved.get("structure", "hankel"),
-        pencil=resolved.get("d", 30),
-        weighting=resolved.get("weighting", "identity"),
-        n=resolved.get("n", 59),
-        base_seed=resolved.get("base_seed", 0),
-        min_separation=resolved.get("min_separation", 0.0),
-        solver=_solver_from(resolved))
+        sample_counts=tuple(resolved.get("sample_counts", range(5, 60, 5))),
+        sparsity_levels=tuple(resolved.get("sparsity_levels", range(1, 11))),
+        solver=_solver_from(resolved),
+        **{("pencil" if k == "d" else k): v for k, v in resolved.items()
+           if k in grid_keys})
     surface = phase_transition(grid, workers=args.workers)
     emit_dat(surface, args.out)
     _write_sidecar(args.out, resolved)
@@ -180,10 +160,7 @@ def cmd_phase(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
-    resolved = _resolve(_load_config(args.config), {
-        "structure": args.structure, "n": args.n, "d": args.d,
-        "k": args.k, "m": args.m, "trials": args.trials,
-        "base_seed": args.seed})
+    resolved = _resolve(args)
     rows = noise_sweep(resolved.get("n", 59), resolved.get("structure", "hankel"),
                        resolved.get("d", 30), resolved.get("k", 2),
                        resolved.get("m", 40),
@@ -199,8 +176,7 @@ def cmd_noise_sweep(args) -> int:
 
 
 def cmd_validate_basis(args) -> int:
-    resolved = _resolve(_load_config(args.config), {
-        "structure": args.structure, "n": args.n, "d": args.d})
+    resolved = _resolve(args)
     basis = build_basis(resolved["structure"], resolved["n"], resolved["d"])
     report = validate_basis(basis)
     checks = [("unit Frobenius norm", report.unit_frobenius),
@@ -214,16 +190,19 @@ def cmd_validate_basis(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command; a flag's dest is the config key it sets."""
     parser = argparse.ArgumentParser(
         prog="wlift",
         description="Harmonic retrieval by lifted-structure matrix completion")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, needs_k=False, needs_m=False, structure=True):
+    def common(p, *, seed="seed", needs_k=False, needs_m=False,
+               structure=True):
         p.add_argument("--config", help="JSON config file (flags override)")
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--n", type=int)
-        p.add_argument("--seed", type=int)
+        if seed:
+            p.add_argument("--seed", type=int, dest=seed)
         if structure:
             p.add_argument("--structure", choices=experiments.STRUCTURES)
             p.add_argument("--d", type=int, help="pencil parameter")
@@ -250,19 +229,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("phase", help="phase-transition sweep to a .dat mesh")
-    common(p)
+    common(p, seed="base_seed")
     p.add_argument("--weighting", choices=experiments.WEIGHTINGS)
     p.add_argument("--trials", type=int)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_phase)
 
     p = sub.add_parser("noise-sweep", help="noise-level error sweep")
-    common(p, needs_k=True, needs_m=True)
+    common(p, seed="base_seed", needs_k=True, needs_m=True)
     p.add_argument("--trials", type=int)
     p.set_defaults(func=cmd_noise_sweep)
 
     p = sub.add_parser("validate-basis", help="check lifting-basis conditions")
-    common(p)
+    common(p, seed=None)
     p.set_defaults(func=cmd_validate_basis)
 
     return parser

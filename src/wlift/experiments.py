@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from numbers import Integral
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -56,10 +56,17 @@ class PhaseGrid:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        counts = (self.n, self.pencil, self.trials, self.base_seed,
+                  *self.sample_counts, *self.sparsity_levels)
+        if not all(isinstance(c, Integral) for c in counts):
+            raise ValueError("N, pencil, trials, base_seed, sample counts "
+                             "and sparsity levels must be integers")
         if self.trials < 1:
             raise ValueError("need at least one trial per cell")
-        if any(m > self.n for m in self.sample_counts):
-            raise ValueError("sample counts cannot exceed N")
+        if not 1 <= self.pencil <= self.n:
+            raise ValueError(f"pencil must lie in [1, N], got {self.pencil}")
+        if any(not 1 <= m <= self.n for m in self.sample_counts):
+            raise ValueError("sample counts must lie in [1, N]")
         if any(k < 1 for k in self.sparsity_levels):
             raise ValueError("sparsity levels must be positive")
         if self.structure not in STRUCTURES:
@@ -104,9 +111,9 @@ def cell_seed(base_seed: int, m: int, k: int, trial: int) -> int:
 
 
 def _check_separation(k: int, min_separation: float) -> None:
-    # K gaps on the unit circle sum to 1, so K * separation >= 1 can never
-    # be drawn and the rejection loop would spin forever
-    if k * min_separation >= 1:
+    # K gaps on the unit circle sum to 1, so K * separation >= 1 (or NaN)
+    # can never be drawn and the rejection loop would spin forever
+    if not k * min_separation < 1:
         raise ValueError(f"{k} frequencies cannot be {min_separation} apart "
                          "on the unit circle")
     # K uniform points are all s apart with probability (1 - K s)^(K - 1);
@@ -144,8 +151,7 @@ def random_mixture(n: int, k: int, rng: np.random.Generator,
 def run_trial(n: int, structure: str, pencil: int, weighting: str,
               m: int, k: int, seed: int,
               solver_config: SolverConfig = SolverConfig(),
-              min_separation: float = 0.0,
-              noise: Optional[NoiseSpec] = None) -> TrialOutcome:
+              min_separation: float = 0.0) -> TrialOutcome:
     """One seeded draw-sample-solve-threshold trial.
 
     Solver errors are folded into a failed outcome with an error code so a
@@ -154,19 +160,16 @@ def run_trial(n: int, structure: str, pencil: int, weighting: str,
     rng = np.random.default_rng(seed)
     mixture = random_mixture(n, k, rng, min_separation)
     y = synthesize(mixture)
-    observed_y = y if noise is None else add_noise(y, noise)
     sset = sample_uniform_m(n, m, seed=int(rng.integers(2 ** 62)))
-    obs = observed_y[sset.indices - 1]
+    obs = y[sset.indices - 1]
     basis = build_basis(structure, n, pencil)
-    eta = None if noise is None else noise.amplitude_bound
     try:
         if weighting == "two_stage":
             _, result = two_stage_pipeline(basis, sset, obs,
-                                           solver_config=solver_config,
-                                           noise_bound=eta)
+                                           solver_config=solver_config)
         else:
             result = complete(basis, identity_weights(basis.dims), sset, obs,
-                              noise_bound=eta, config=solver_config)
+                              config=solver_config)
     except (ValueError, np.linalg.LinAlgError) as exc:
         return TrialOutcome(False, float("inf"), type(exc).__name__)
     err = relative_error(y, result.estimate)
@@ -186,11 +189,11 @@ def _cell_rate(args) -> Tuple[int, int, float]:
     return ki, mi, wins / grid.trials
 
 
-def phase_transition(grid: PhaseGrid, workers: Optional[int] = None
-                     ) -> SuccessSurface:
-    """Mean success per (M, K) cell; deterministic for a fixed base_seed."""
-    if workers is None:
-        workers = int(os.environ.get("WLIFT_WORKERS", "1"))
+def phase_transition(grid: PhaseGrid, workers: int = 1) -> SuccessSurface:
+    """Mean success per (M, K) cell; deterministic for a fixed base_seed.
+
+    workers > 1 spreads the cells over that many processes.
+    """
     cells = [(grid, mi, ki)
              for ki in range(len(grid.sparsity_levels))
              for mi in range(len(grid.sample_counts))]

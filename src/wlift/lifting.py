@@ -47,7 +47,6 @@ class LiftingBasis:
     `offsets[n]:offsets[n+1]` slices element n's pattern.
     """
 
-    structure: str
     n: int
     dims: Tuple[int, int]
     rows: np.ndarray
@@ -197,7 +196,7 @@ class BasisReport:
         return self.first_failure is None
 
 
-def make_basis(structure: str, n: int, dims: Tuple[int, int],
+def make_basis(n: int, dims: Tuple[int, int],
                patterns: List[Tuple[np.ndarray, np.ndarray]],
                conjugated: Optional[np.ndarray] = None) -> LiftingBasis:
     """Assemble a basis from per-element (rows, cols) patterns.
@@ -217,7 +216,7 @@ def make_basis(structure: str, n: int, dims: Tuple[int, int],
         conjugated = np.asarray(conjugated, dtype=bool)
         if conjugated.shape != rows.shape:
             raise ValueError("conjugation mask must align with the patterns")
-    return LiftingBasis(structure, n, dims, rows, cols, element, offsets,
+    return LiftingBasis(n, dims, rows, cols, element, offsets,
                         counts, conjugated)
 
 
@@ -238,8 +237,7 @@ def hankel_basis(n: int, pencil: int) -> LiftingBasis:
     """
     if not 1 <= pencil <= n:
         raise ValueError(f"pencil must lie in [1, N], got {pencil} for N={n}")
-    return make_basis("hankel", n, (pencil, n - pencil + 1),
-                      _hankel_patterns(n, pencil))
+    return make_basis(n, (pencil, n - pencil + 1), _hankel_patterns(n, pencil))
 
 
 def double_hankel_basis(n: int, pencil: int) -> LiftingBasis:
@@ -268,8 +266,7 @@ def double_hankel_basis(n: int, pencil: int) -> LiftingBasis:
                      np.concatenate([c1, c2 + d2h])))
         conj_chunks.append(np.concatenate([np.zeros(r1.size, dtype=bool),
                                            np.ones(r2.size, dtype=bool)]))
-    return make_basis("double-hankel", n, (pencil, 2 * d2h), pats,
-                      np.concatenate(conj_chunks))
+    return make_basis(n, (pencil, 2 * d2h), pats, np.concatenate(conj_chunks))
 
 
 def lift(basis: LiftingBasis, x: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +24,6 @@ __all__ = [
     "project",
     "mixture_to_text",
     "mixture_from_text",
-    "sample_set_to_text",
-    "sample_set_from_text",
 ]
 
 
@@ -54,10 +52,6 @@ class Mixture:
         object.__setattr__(self, "n_samples", int(n_samples))
         object.__setattr__(self, "components", comps)
 
-    @property
-    def order(self) -> int:
-        return len(self.components)
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -73,15 +67,10 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Observed index set over {1..N}, 1-based and strictly increasing.
-
-    `probabilities`, when present, holds the per-index inclusion
-    probability for all N positions.
-    """
+    """Observed index set over {1..N}, 1-based and strictly increasing."""
 
     universe: int
     indices: np.ndarray
-    probabilities: Optional[np.ndarray] = None
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -92,13 +81,6 @@ class SampleSet:
         if idx.size and np.any(np.diff(idx) <= 0):
             raise ValueError("indices must be strictly increasing")
         object.__setattr__(self, "indices", idx)
-        if self.probabilities is not None:
-            p = np.asarray(self.probabilities, dtype=float)
-            if p.shape != (self.universe,):
-                raise ValueError("probabilities must have length N")
-            if np.any(p <= 0) or np.any(p > 1):
-                raise ValueError("probabilities must lie in (0, 1]")
-            object.__setattr__(self, "probabilities", p)
 
     @property
     def size(self) -> int:
@@ -143,16 +125,16 @@ def sample_bernoulli(probabilities: np.ndarray, seed: int = 0) -> SampleSet:
         raise ValueError("inclusion probabilities must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     keep = rng.random(p.size) < p
-    return SampleSet(p.size, np.flatnonzero(keep) + 1, probabilities=p)
+    return SampleSet(p.size, np.flatnonzero(keep) + 1)
 
 
 def sample_uniform_m(n: int, m: int, seed: int = 0) -> SampleSet:
-    """Draw a uniformly random M-subset of {1..N}; probabilities set to M/N."""
+    """Draw a uniformly random M-subset of {1..N}."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= M <= N, got M={m}, N={n}")
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(n, size=m, replace=False)) + 1
-    return SampleSet(n, idx, probabilities=np.full(n, m / n))
+    return SampleSet(n, idx)
 
 
 def project(y: np.ndarray, sample_set: SampleSet) -> np.ndarray:
@@ -180,18 +162,3 @@ def mixture_from_text(text: str) -> Mixture:
         br, bi, zr, zi = (float(t) for t in ln.split())
         comps.append((complex(br, bi), complex(zr, zi)))
     return Mixture(n, comps)
-
-
-def sample_set_to_text(sample_set: SampleSet) -> str:
-    """First line 'N M', second line the 1-based indices."""
-    idx = " ".join(str(i) for i in sample_set.indices)
-    return f"{sample_set.universe} {sample_set.size}\n{idx}\n"
-
-
-def sample_set_from_text(text: str) -> SampleSet:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    n, m = (int(t) for t in lines[0].split())
-    idx = np.array([int(t) for t in lines[1].split()], dtype=np.int64) if m else np.array([], dtype=np.int64)
-    if idx.size != m:
-        raise ValueError("index count does not match header")
-    return SampleSet(n, idx)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -37,11 +38,12 @@ class SolverConfig:
     success_threshold: float = 1e-3
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not (isinstance(self.max_iters, Integral) and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer of at least 1")
         for name in ("penalty", "abs_tol", "rel_tol", "success_threshold"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,8 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     noise_bound eta relaxes it to ||P_Omega(g) - y_Omega||_2 <= sqrt(M) eta.
     Iteration exhaustion returns converged=False rather than raising.
     """
+    if noise_bound is not None and not noise_bound >= 0:
+        raise ValueError(f"noise bound must be nonnegative, got {noise_bound}")
     observed = np.asarray(observed, dtype=complex)
     if sample_set.size == 0:
         raise ValueError("cannot complete from an empty sample set")

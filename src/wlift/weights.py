@@ -9,7 +9,7 @@ coordinates, which is the quantity the sample-complexity bound scales with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -164,8 +164,7 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
 
 def two_stage_pipeline(basis: LiftingBasis, sample_set: SampleSet,
                        observed: np.ndarray, solver_config=None,
-                       tune_config: TuneConfig = TuneConfig(),
-                       noise_bound: Optional[float] = None):
+                       tune_config: TuneConfig = TuneConfig()):
     """Identity-weight solve, then re-solve with tuned diagonal weights.
 
     Stage 1 completes with identity weights; its lifted estimate provides
@@ -182,7 +181,7 @@ def two_stage_pipeline(basis: LiftingBasis, sample_set: SampleSet,
         solver_config = SolverConfig()
     ident = identity_weights(basis.dims)
     stage1 = complete(basis, ident, sample_set, observed,
-                      noise_bound=noise_bound, config=solver_config)
+                      config=solver_config)
     try:
         pilot = subspace_of(basis, stage1.estimate)
     except ValueError:
@@ -191,5 +190,5 @@ def two_stage_pipeline(basis: LiftingBasis, sample_set: SampleSet,
     if tuned.fell_back or tuned.objective >= tuned.baseline:
         return ident, stage1
     stage2 = complete(basis, tuned.weights, sample_set, observed,
-                      noise_bound=noise_bound, config=solver_config)
+                      config=solver_config)
     return tuned.weights, stage2

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from wlift.cli import main
+from wlift.cli import build_parser, main
 
 
 SUBCOMMANDS = ["synth", "scores", "complete", "tune", "phase", "noise-sweep",
@@ -110,9 +111,13 @@ def test_phase_requires_out(capsys):
 
 def test_phase_invalid_grid_is_usage_error(tmp_path):
     cfg = tmp_path / "grid.json"
-    # M above N; a separation no K = 4 draw can meet; one that K = 10
-    # uniform draws meet with probability 1e-9
+    # M above N; M below 1 after a valid cell; a pencil above N; a
+    # separation no K = 4 draw can meet; one that K = 10 uniform draws meet
+    # with probability 1e-9
     for grid in ({"sample_counts": [40], "sparsity_levels": [1]},
+                 {"n": 59, "d": 30, "sample_counts": [40, 0],
+                  "sparsity_levels": [2]},
+                 {"d": 30, "sample_counts": [10], "sparsity_levels": [1]},
                  {"sample_counts": [10], "sparsity_levels": [4],
                   "min_separation": 0.3},
                  {"sample_counts": [10], "sparsity_levels": [10],
@@ -120,7 +125,62 @@ def test_phase_invalid_grid_is_usage_error(tmp_path):
         cfg.write_text(json.dumps({"n": 21, "d": 10, "trials": 1, **grid}))
         assert main(["phase", "--config", str(cfg),
                      "--out", str(tmp_path / "x.dat")]) == 1
-    assert not (tmp_path / "x.dat").exists()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["grid.json"]
+
+
+@pytest.mark.parametrize("command, config", [
+    # every trial would be a caught LinAlgError, giving a silent 0 rate
+    ("phase", {"n": 21, "d": 10, "sample_counts": [15],
+               "sparsity_levels": [1], "trials": 1, "penalty": float("nan")}),
+    ("complete", {"structure": "hankel", "n": 21, "d": 10, "k": 1, "m": 15,
+                  "max_iters": 2.5}),
+    ("phase", {"n": 21, "d": 10, "sample_counts": [15],
+               "sparsity_levels": [1], "trials": 2.5}),
+], ids=["phase-nan-penalty", "complete-fractional-max-iters",
+        "phase-fractional-trials"])
+def test_non_finite_or_fractional_config_is_usage_error(command, config,
+                                                         tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a value for every flag that sets a config key
+FLAG_VALUES = {"--structure": "hankel", "--n": 21, "--d": 10, "--k": 1,
+               "--m": 15, "--seed": 2, "--weighting": "identity",
+               "--trials": 1}
+NOT_CONFIG = {"--help", "--config", "--out", "--workers"}
+# commands whose --seed is the base seed of their cell seeds
+BASE_SEEDED = {"phase", "noise-sweep"}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_config_flag_reaches_sidecar(command, tmp_path):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = [a.option_strings[-1]
+             for a in subparsers.choices[command]._actions
+             if a.option_strings[-1] not in NOT_CONFIG]
+    out = tmp_path / "out.txt"
+    argv = [command, "--out", str(out)]
+    expected = {}
+    for flag in flags:
+        argv += [flag, str(FLAG_VALUES[flag])]
+        key = flag[2:]
+        if flag == "--seed" and command in BASE_SEEDED:
+            key = "base_seed"
+        expected[key] = FLAG_VALUES[flag]
+    if command == "phase":
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"sample_counts": [15],
+                                   "sparsity_levels": [1]}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 0
+    sidecar = json.loads((tmp_path / "out.txt.config.json").read_text())
+    assert {key: sidecar.get(key) for key in expected} == expected
 
 
 def test_phase_emits_dat_and_sidecars(tmp_path):

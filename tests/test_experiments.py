@@ -76,7 +76,23 @@ def test_phase_grid_validation():
     with pytest.raises(ValueError):
         PhaseGrid((70,), (2,))
     with pytest.raises(ValueError):
+        PhaseGrid((40, 0), (2,))
+    with pytest.raises(ValueError):
         PhaseGrid((40,), (0,))
+    for pencil in (0, 60, 80):
+        with pytest.raises(ValueError):
+            PhaseGrid((20,), (2,), pencil=pencil)
+    # fractional counts, and a NaN separation the rejection loop never meets
+    for bad in ({"trials": 2.5}, {"n": 59.0}, {"base_seed": 0.5},
+                {"min_separation": np.nan}):
+        with pytest.raises(ValueError):
+            PhaseGrid((20,), (2,), **bad)
+    with pytest.raises(ValueError):
+        PhaseGrid((20.0,), (2,))
+    with pytest.raises(ValueError):
+        PhaseGrid((20,), (2.5,))
+    PhaseGrid((np.int64(20),), (np.int32(2),), trials=np.int64(2),
+              pencil=np.int64(59))
     with pytest.raises(ValueError):
         PhaseGrid((40,), (2,), trials=0)
     with pytest.raises(ValueError):
@@ -113,6 +129,16 @@ def test_phase_transition_deterministic():
     a = phase_transition(grid)
     b = phase_transition(grid)
     np.testing.assert_array_equal(a.rates, b.rates)
+
+
+def test_phase_transition_workers_match_serial():
+    # rates 0, 0.5 and 1 in distinct cells, so a misplaced cell shows
+    grid = PhaseGrid((6, 10, 21), (1, 2, 4), trials=2, n=21, pencil=10,
+                     base_seed=4)
+    serial = phase_transition(grid)
+    assert len(np.unique(serial.rates)) == 3
+    pooled = phase_transition(grid, workers=2)
+    np.testing.assert_array_equal(pooled.rates, serial.rates)
 
 
 def test_phase_transition_monotone_in_samples():

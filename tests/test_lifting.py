@@ -166,7 +166,7 @@ def _duplicate_cell():
 
 def _shared_column():
     # element 1 puts both of its cells in column 0; no cell is shared
-    return make_basis("custom", 2, (2, 2),
+    return make_basis(2, (2, 2),
                       [(np.array([0]), np.array([1])),
                        (np.array([0, 1]), np.array([0, 0]))])
 
@@ -253,7 +253,7 @@ def _reference_adjoint(basis, cell, m):
 
 def _partial_cover():
     # 5 of 9 cells covered, two of them conjugating
-    return make_basis("custom", 3, (3, 3),
+    return make_basis(3, (3, 3),
                       [(np.array([0]), np.array([0])),
                        (np.array([1, 2]), np.array([1, 0])),
                        (np.array([0, 2]), np.array([1, 2]))],

@@ -150,7 +150,7 @@ def test_lifting_coefficient_constant_support():
     from wlift.lifting import make_basis
     n = 4
     pats = [(np.arange(4), (np.arange(4) + k) % 4) for k in range(n)]
-    basis = make_basis("wrap", n, (4, 4), pats)
+    basis = make_basis(n, (4, 4), pats)
     assert abs(lifting_coefficient(basis) - 1.0) < 1e-12
 
 

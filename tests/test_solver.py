@@ -154,6 +154,12 @@ def test_complete_error_conditions():
     with pytest.raises(ValueError):
         complete(basis, identity_weights((5, 5)),
                  SampleSet(9, np.array([1, 2])), np.array([1.0, 2.0]))
+    # a negative radius would reflect g through the observations, and a NaN
+    # one would never project
+    for eta in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            complete(basis, weights, SampleSet(9, np.array([1, 2])),
+                     np.array([1.0, 2.0]), noise_bound=eta)
 
 
 def test_complete_annihilating_weights_rejected():
@@ -183,3 +189,10 @@ def test_solver_config_validation():
         SolverConfig(penalty=0.0)
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=-1e-3)
+    # NaN and inf tolerances or penalties, and fractional iteration counts
+    for bad in ({"penalty": np.nan}, {"abs_tol": np.inf},
+                {"success_threshold": np.nan}, {"max_iters": 2.5},
+                {"max_iters": "10"}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+    assert SolverConfig(max_iters=np.int64(5)).max_iters == 5
