@@ -23,7 +23,7 @@ from .scores import (SingularWeightsError, leverage_scores, lifting_coefficient,
                      scores_to_text, subspace_of)
 from .signal import mixture_to_text, sample_uniform_m, synthesize
 from .solver import SolverConfig
-from .weights import TuneConfig, tune_diagonal_weights
+from .weights import tune_diagonal_weights
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
@@ -34,6 +34,7 @@ CONFIG_KEYS = frozenset((
     "structure", "n", "d", "k", "m", "seed", "base_seed", "trials",
     "weighting", "sample_counts", "sparsity_levels", "min_separation",
     "etas") + SOLVER_KEYS)
+LIST_KEYS = ("sample_counts", "sparsity_levels", "etas")
 
 
 def _fmt(value: float) -> str:
@@ -41,12 +42,28 @@ def _fmt(value: float) -> str:
 
 
 def _resolve(args) -> dict:
-    """The --config file's keys, overridden by every flag given a value."""
+    """The --config file's keys, overridden by every flag given a value.
+
+    A config value must have the type its flag declares, a LIST_KEYS value
+    must be a list of numbers; SolverConfig and PhaseGrid check the rest.
+    """
     config = {} if args.config is None \
         else json.loads(Path(args.config).read_text())
     unknown = sorted(set(config) - CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    kinds = {a.dest: a.type for p in sub.choices.values()
+             for a in p._actions if a.type is not None}
+    for key, value in config.items():
+        # JSON loads exact types: type(True) is bool, not int
+        if key in LIST_KEYS:
+            ok = type(value) is list and all(type(v) in (int, float) for v in value)
+        else:
+            ok = type(value) is kinds.get(key, type(value))
+        if not ok:
+            raise ValueError(f"config key {key!r} cannot be {value!r}")
     flags = {key: value for key, value in vars(args).items()
              if key in CONFIG_KEYS and value is not None}
     return {**config, **flags}
@@ -123,7 +140,7 @@ def cmd_tune(args) -> int:
                             seed=resolved.get("seed", 0))
     try:
         pilot = subspace_of(basis, y)
-        tuned = tune_diagonal_weights(basis, sset, pilot, TuneConfig())
+        tuned = tune_diagonal_weights(basis, sset, pilot)
     except (SingularWeightsError, ValueError) as exc:
         sys.stderr.write(f"tuning failed: {exc}\n")
         return NUMERICAL_ERROR

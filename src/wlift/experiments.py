@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .lifting import LiftingBasis, double_hankel_basis, hankel_basis, lift
-from .signal import Mixture, NoiseSpec, add_noise, sample_uniform_m, synthesize
+from .signal import Mixture, add_noise, sample_uniform_m, synthesize
 from .solver import SolverConfig, complete, relative_error
 from .weights import identity_weights, two_stage_pipeline
 
@@ -148,6 +148,13 @@ def random_mixture(n: int, k: int, rng: np.random.Generator,
     return Mixture(n, comps)
 
 
+def _draw(n: int, k: int, m: int, seed: int, min_separation: float = 0.0):
+    """A trial's seeded instance: the mixture's samples and the sample set."""
+    rng = np.random.default_rng(seed)
+    y = synthesize(random_mixture(n, k, rng, min_separation))
+    return y, sample_uniform_m(n, m, seed=int(rng.integers(2 ** 62)))
+
+
 def run_trial(n: int, structure: str, pencil: int, weighting: str,
               m: int, k: int, seed: int,
               solver_config: SolverConfig = SolverConfig(),
@@ -157,10 +164,9 @@ def run_trial(n: int, structure: str, pencil: int, weighting: str,
     Solver errors are folded into a failed outcome with an error code so a
     sweep never crashes on one bad cell.
     """
-    rng = np.random.default_rng(seed)
-    mixture = random_mixture(n, k, rng, min_separation)
-    y = synthesize(mixture)
-    sset = sample_uniform_m(n, m, seed=int(rng.integers(2 ** 62)))
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"unknown weighting {weighting!r}")
+    y, sset = _draw(n, k, m, seed, min_separation)
     obs = y[sset.indices - 1]
     basis = build_basis(structure, n, pencil)
     try:
@@ -218,25 +224,22 @@ def noise_sweep(n: int, structure: str, pencil: int, k: int, m: int,
     The reported error is ||L(estimate) - L(truth)||_F averaged over
     trials (identity weights, so the weighted and plain lifts coincide).
     """
+    if trials < 1:
+        raise ValueError("need at least one trial per noise level")
     basis = build_basis(structure, n, pencil)
-    rows = []
-    for eta in etas:
-        total = 0.0
-        for t in range(trials):
-            seed = cell_seed(base_seed, m, k, t)
-            rng = np.random.default_rng(seed)
-            mixture = random_mixture(n, k, rng)
-            y = synthesize(mixture)
-            noisy = add_noise(y, NoiseSpec(eta, seed=seed ^ 0x5EED))
-            sset = sample_uniform_m(n, m, seed=int(rng.integers(2 ** 62)))
-            obs = noisy[sset.indices - 1]
-            result = complete(basis, identity_weights(basis.dims), sset, obs,
+    totals = [0.0] * len(etas)
+    for t in range(trials):
+        seed = cell_seed(base_seed, m, k, t)
+        y, sset = _draw(n, k, m, seed)
+        truth = lift(basis, y)
+        for i, eta in enumerate(etas):
+            noisy = add_noise(y, eta, seed=seed ^ 0x5EED)
+            result = complete(basis, identity_weights(basis.dims), sset,
+                              noisy[sset.indices - 1],
                               noise_bound=eta if eta > 0 else None,
                               config=solver_config)
-            total += float(np.linalg.norm(
-                lift(basis, result.estimate) - lift(basis, y)))
-        rows.append((float(eta), total / trials))
-    return rows
+            totals[i] += float(np.linalg.norm(lift(basis, result.estimate) - truth))
+    return [(float(eta), total / trials) for eta, total in zip(etas, totals)]
 
 
 def loglog_slope(rows: Sequence[Tuple[float, float]]) -> float:

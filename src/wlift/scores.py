@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .lifting import LiftingBasis, lift
-from .weights import WeightPair
+
+if TYPE_CHECKING:
+    from .weights import WeightPair
 
 __all__ = [
     "SubspacePair",
@@ -48,7 +50,6 @@ class SubspacePair:
 
     left: np.ndarray          # d1 x K, orthonormal columns
     right: np.ndarray         # d2 x K, orthonormal columns
-    singular_values: np.ndarray
     rank: int
 
 
@@ -68,7 +69,7 @@ def subspace_of(basis: LiftingBasis, x: np.ndarray,
     if s.size == 0 or s[0] == 0:
         raise ValueError("zero matrix has no subspace")
     k = int(np.count_nonzero(s > rank_tol * s[0]))
-    return SubspacePair(u[:, :k], vh[:k, :].conj().T, s[:k], k)
+    return SubspacePair(u[:, :k], vh[:k, :].conj().T, k)
 
 
 def _right_product_norms(basis: LiftingBasis, g_right: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "Mixture",
-    "NoiseSpec",
     "SampleSet",
     "synthesize",
     "add_noise",
@@ -51,18 +50,6 @@ class Mixture:
                 raise ValueError("zero base is not allowed")
         object.__setattr__(self, "n_samples", int(n_samples))
         object.__setattr__(self, "components", comps)
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Bounded complex noise: every entry satisfies |e_n| <= amplitude_bound."""
-
-    amplitude_bound: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.amplitude_bound < 0:
-            raise ValueError("noise amplitude bound must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -103,17 +90,19 @@ def synthesize(mixture: Mixture) -> np.ndarray:
     return y
 
 
-def add_noise(y: np.ndarray, spec: NoiseSpec) -> np.ndarray:
+def add_noise(y: np.ndarray, amplitude_bound: float, seed: int = 0) -> np.ndarray:
     """Add noise drawn uniformly on the complex disk of radius `amplitude_bound`.
 
     Deterministic for a fixed seed; the zero-radius case returns `y` unchanged.
     """
+    if not amplitude_bound >= 0:
+        raise ValueError(f"noise bound must be nonnegative, got {amplitude_bound}")
     y = np.asarray(y, dtype=complex)
-    if spec.amplitude_bound == 0:
+    if amplitude_bound == 0:
         return y.copy()
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     # sqrt of a uniform radius^2 gives the uniform-on-disk law
-    r = spec.amplitude_bound * np.sqrt(rng.random(y.size))
+    r = amplitude_bound * np.sqrt(rng.random(y.size))
     phase = rng.random(y.size) * 2 * np.pi
     return y + r * np.exp(1j * phase)
 

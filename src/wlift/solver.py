@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .lifting import LiftingBasis, LiftOperator
 from .signal import SampleSet
-from .weights import WeightPair
+
+if TYPE_CHECKING:
+    from .weights import WeightPair
 
 __all__ = [
     "SolverConfig",

@@ -14,11 +14,12 @@ from typing import Tuple
 import numpy as np
 
 from .lifting import LiftingBasis
+from .scores import SingularWeightsError, _side_norms, subspace_of
 from .signal import SampleSet
+from .solver import SolverConfig, complete
 
 __all__ = [
     "WeightPair",
-    "TuneConfig",
     "TuneResult",
     "identity_weights",
     "diagonal_weights",
@@ -72,12 +73,9 @@ def diagonal_weights(left_diag: np.ndarray, right_diag: np.ndarray) -> WeightPai
     return WeightPair(left_diag, right_diag)
 
 
-@dataclass(frozen=True)
-class TuneConfig:
-    max_iters: int = 4          # coordinate-descent sweeps
-    min_weight: float = 1e-3
-    rel_tol: float = 1e-6
-    step_factors: Tuple[float, ...] = (0.5, 2.0)
+TUNE_SWEEPS = 4             # coordinate-descent sweeps
+TUNE_REL_TOL = 1e-6         # stop after a sweep with a smaller relative gain
+STEP_FACTORS = (0.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -90,13 +88,13 @@ class TuneResult:
 
 
 def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
-                          pilot_subspace, config: TuneConfig = TuneConfig()
-                          ) -> TuneResult:
-    """Projected coordinate descent on the unobserved weighted-score sum.
+                          pilot_subspace) -> TuneResult:
+    """Coordinate descent on the unobserved weighted-score sum.
 
-    Starts from identity, perturbs one diagonal entry at a time by the
-    configured multiplicative factors, and keeps strict improvements,
-    clipping at min_weight. The pilot subspace stays fixed throughout;
+    Starts from identity, steps one diagonal entry at a time by x0.5 then
+    x2, and keeps strict improvements. The x2 after a kept x0.5 restores
+    a value that already lost, so an entry stays in [2^-TUNE_SWEEPS,
+    2^TUNE_SWEEPS]. The pilot subspace stays fixed throughout;
     only the oblique projections move with the weights. A step on the
     left diagonal moves only the left projection and a step on the right
     only the right one, so each step recomputes the per-element norms of
@@ -104,8 +102,6 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
     (including the fully observed case, where the objective is an empty
     sum).
     """
-    from .scores import SingularWeightsError, _side_norms
-
     d1, d2 = basis.dims
     unobserved = sample_set.complement()
     identity = identity_weights((d1, d2)).frobenius_normalized()
@@ -130,17 +126,13 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
     baseline = objective(*norms)
 
     best = baseline
-    sweeps = 0
-    for sweep in range(config.max_iters):
-        sweeps = sweep + 1
+    for sweeps in range(1, TUNE_SWEEPS + 1):
         before = best
         for side, (w, q, name) in enumerate(sides):
             for i in range(w.size):
                 kept = w[i]
-                for fac in config.step_factors:
-                    trial = max(config.min_weight, kept * fac)
-                    if trial == kept:
-                        continue
+                for fac in STEP_FACTORS:
+                    trial = kept * fac
                     w[i] = trial
                     try:
                         moved = _side_norms(basis, w, q, name)
@@ -153,7 +145,7 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
                         norms[side] = moved
                     else:
                         w[i] = kept
-        if before - best < config.rel_tol * max(abs(before), 1.0):
+        if before - best < TUNE_REL_TOL * max(abs(before), 1.0):
             break
 
     if best >= baseline:
@@ -163,8 +155,8 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
 
 
 def two_stage_pipeline(basis: LiftingBasis, sample_set: SampleSet,
-                       observed: np.ndarray, solver_config=None,
-                       tune_config: TuneConfig = TuneConfig()):
+                       observed: np.ndarray,
+                       solver_config: SolverConfig = SolverConfig()):
     """Identity-weight solve, then re-solve with tuned diagonal weights.
 
     Stage 1 completes with identity weights; its lifted estimate provides
@@ -174,11 +166,6 @@ def two_stage_pipeline(basis: LiftingBasis, sample_set: SampleSet,
     (it then returns scaled identity weights, whose program stage 1 has
     already solved), the stage-1 result is returned with identity weights.
     """
-    from .scores import subspace_of
-    from .solver import SolverConfig, complete
-
-    if solver_config is None:
-        solver_config = SolverConfig()
     ident = identity_weights(basis.dims)
     stage1 = complete(basis, ident, sample_set, observed,
                       config=solver_config)
@@ -186,7 +173,7 @@ def two_stage_pipeline(basis: LiftingBasis, sample_set: SampleSet,
         pilot = subspace_of(basis, stage1.estimate)
     except ValueError:
         return ident, stage1
-    tuned = tune_diagonal_weights(basis, sample_set, pilot, tune_config)
+    tuned = tune_diagonal_weights(basis, sample_set, pilot)
     if tuned.fell_back or tuned.objective >= tuned.baseline:
         return ident, stage1
     stage2 = complete(basis, tuned.weights, sample_set, observed,

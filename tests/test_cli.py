@@ -136,8 +136,24 @@ def test_phase_invalid_grid_is_usage_error(tmp_path):
                   "max_iters": 2.5}),
     ("phase", {"n": 21, "d": 10, "sample_counts": [15],
                "sparsity_levels": [1], "trials": 2.5}),
+    # values of the wrong type for their flag, or outside its range
+    ("noise-sweep", {"n": 21, "d": 10, "k": 1, "m": 15, "trials": 0}),
+    ("noise-sweep", {"n": 21, "d": 10, "k": 1, "m": 15, "trials": 2.5}),
+    ("noise-sweep", {"n": 21, "d": 10, "k": 1, "m": 15, "trials": 1,
+                     "etas": 0.001}),
+    ("complete", {"structure": "hankel", "n": 21, "d": 10, "k": 1,
+                  "m": 15.5}),
+    ("phase", {"n": 21, "d": 10, "sample_counts": 15,
+               "sparsity_levels": [1], "trials": 1}),
+    ("synth", {"n": "21", "k": 1}),
+    # a misspelled weighting must not silently run identity
+    ("complete", {"structure": "hankel", "n": 21, "d": 10, "k": 1, "m": 15,
+                  "weighting": "two-stage"}),
 ], ids=["phase-nan-penalty", "complete-fractional-max-iters",
-        "phase-fractional-trials"])
+        "phase-fractional-trials", "noise-sweep-zero-trials",
+        "noise-sweep-fractional-trials", "noise-sweep-scalar-etas",
+        "complete-fractional-m", "phase-scalar-sample-counts",
+        "synth-string-n", "complete-unknown-weighting"])
 def test_non_finite_or_fractional_config_is_usage_error(command, config,
                                                          tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

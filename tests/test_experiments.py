@@ -199,3 +199,14 @@ def test_noise_sweep_zero_eta_row():
     assert rows[0][0] == 0.0
     assert rows[0][1] <= 1e-4
     assert rows[1][1] > rows[0][1]
+
+
+def test_noise_sweep_levels_are_independent():
+    # every level sees the same trial instances, so splitting the levels
+    # over two sweeps changes no row
+    args = (21, "hankel", 10, 1, 14)
+    both = noise_sweep(*args, [1e-3, 1e-2], trials=2, base_seed=3)
+    assert both == (noise_sweep(*args, [1e-3], trials=2, base_seed=3)
+                    + noise_sweep(*args, [1e-2], trials=2, base_seed=3))
+    with pytest.raises(ValueError):
+        noise_sweep(*args, [1e-3], trials=0)

@@ -184,7 +184,7 @@ def test_incoherence_degenerate_subspace_fails():
     u[0, 0] = 1.0
     v = np.zeros((6, 1), dtype=complex)
     v[0, 0] = 1.0
-    sub = SubspacePair(u, v, np.ones(1), 1)
+    sub = SubspacePair(u, v, 1)
     res = incoherence_check(basis, identity_weights(basis.dims), sub)
     assert res.rhs < 1e-12
     assert not res.passed

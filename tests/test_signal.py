@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wlift.signal import (Mixture, NoiseSpec, SampleSet, add_noise,
+from wlift.signal import (Mixture, SampleSet, add_noise,
                           mixture_from_text, mixture_to_text, project,
                           sample_bernoulli, sample_uniform_m, synthesize)
 
@@ -47,21 +47,27 @@ def test_mixture_rejects_degenerate():
 
 def test_add_noise_zero_is_identity():
     y = np.array([1 + 2j, -3j])
-    np.testing.assert_array_equal(add_noise(y, NoiseSpec(0.0, seed=1)), y)
+    np.testing.assert_array_equal(add_noise(y, 0.0, seed=1), y)
 
 
 def test_add_noise_amplitude_bound_and_determinism():
     y = np.zeros(1000, dtype=complex)
-    out1 = add_noise(y, NoiseSpec(0.1, seed=42))
-    out2 = add_noise(y, NoiseSpec(0.1, seed=42))
+    out1 = add_noise(y, 0.1, seed=42)
+    out2 = add_noise(y, 0.1, seed=42)
     assert np.max(np.abs(out1 - y)) <= 0.1
     np.testing.assert_array_equal(out1, out2)
+
+
+def test_add_noise_rejects_negative_or_nan_bound():
+    for bound in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="noise bound"):
+            add_noise(np.zeros(4, dtype=complex), bound, seed=0)
 
 
 def test_add_noise_feasibility_budget():
     # ||P_Omega(e)||_2 <= sqrt(M) * eta for any Omega
     y = np.zeros(59, dtype=complex)
-    e = add_noise(y, NoiseSpec(0.05, seed=3))
+    e = add_noise(y, 0.05, seed=3)
     sset = sample_uniform_m(59, 20, seed=5)
     assert np.linalg.norm(project(e, sset)) <= np.sqrt(20) * 0.05
 

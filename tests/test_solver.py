@@ -3,7 +3,7 @@ import pytest
 
 from wlift.experiments import random_mixture
 from wlift.lifting import double_hankel_basis, hankel_basis, lift
-from wlift.signal import (Mixture, NoiseSpec, SampleSet, add_noise,
+from wlift.signal import (Mixture, SampleSet, add_noise,
                           sample_uniform_m, synthesize)
 from wlift.solver import (CompletionResult, SolverConfig, complete,
                           relative_error, svt)
@@ -91,7 +91,7 @@ def test_complete_interpolates_exactly_on_observed():
 def test_complete_noisy_ball_constraint_holds():
     basis = hankel_basis(31, 16)
     y = synthesize(random_mixture(31, 2, np.random.default_rng(5)))
-    noisy = add_noise(y, NoiseSpec(1e-2, seed=6))
+    noisy = add_noise(y, 1e-2, seed=6)
     sset = sample_uniform_m(31, 22, seed=3)
     obs = noisy[sset.indices - 1]
     result = complete(basis, identity_weights(basis.dims), sset, obs,

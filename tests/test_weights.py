@@ -6,9 +6,8 @@ from wlift.lifting import double_hankel_basis, hankel_basis
 from wlift.scores import subspace_of, weighted_leverage_scores
 from wlift.signal import SampleSet, sample_uniform_m, synthesize
 from wlift.solver import SolverConfig, relative_error
-from wlift.weights import (TuneConfig, WeightPair, diagonal_weights,
-                           identity_weights, tune_diagonal_weights,
-                           two_stage_pipeline)
+from wlift.weights import (WeightPair, diagonal_weights, identity_weights,
+                           tune_diagonal_weights, two_stage_pipeline)
 
 
 def unobserved_score_sum(basis, weights, sub, sset):
@@ -92,8 +91,7 @@ def test_tune_improves_on_skewed_observations():
         mix = random_mixture(21, 2, np.random.default_rng(seed))
         sub = subspace_of(basis, synthesize(mix))
         sset = SampleSet(21, np.arange(1, 13))
-        res = tune_diagonal_weights(basis, sset, sub,
-                                    TuneConfig(max_iters=6))
+        res = tune_diagonal_weights(basis, sset, sub)
         improved += res.objective < 0.5 * res.baseline
     assert improved == 10
 
@@ -129,21 +127,20 @@ def test_tune_uniform_sampling_keeps_identity_stationary():
     np.testing.assert_allclose(ratio, np.ones(30))
 
 
-def test_tune_respects_min_weight():
+def test_tune_steps_stay_within_sweep_bound():
+    # an entry moves at most one factor of 2 per sweep, so after the four
+    # sweeps every pre-normalization entry is a power of two in [2^-4, 2^4]
     basis = hankel_basis(21, 10)
     sub = subspace_of(basis, synthesize(random_mixture(
         21, 2, np.random.default_rng(4))))
     sset = sample_uniform_m(21, 8, seed=2)
-    cfg = TuneConfig(max_iters=6, min_weight=0.25)
-    res = tune_diagonal_weights(basis, sset, sub, cfg)
-    ld = res.weights.left_diag / res.weights.left_diag.max()
-    rd = res.weights.right_diag / res.weights.right_diag.max()
-    # pre-normalization entries live in [min_weight, 2^sweeps], so the
-    # dynamic range of each returned diagonal is at most 2^sweeps/min_weight
-    floor = 0.25 / 2 ** 6
-    assert ld.min() >= floor - 1e-15
-    assert rd.min() >= floor - 1e-15
-    assert np.all(ld > 0) and np.all(rd > 0)
+    res = tune_diagonal_weights(basis, sset, sub)
+    assert res.objective < res.baseline
+    for diag in (res.weights.left_diag, res.weights.right_diag):
+        ratio = diag / diag.max()
+        assert ratio.min() >= 2.0 ** -8
+        # a mantissa of exactly 0.5 marks an exact power of two
+        np.testing.assert_array_equal(np.frexp(ratio)[0], 0.5)
 
 
 def test_two_stage_fully_observed_recovers_exactly():
@@ -178,21 +175,21 @@ def test_two_stage_handles_degenerate_stage_one():
 def test_two_stage_reuses_stage_one_when_tuning_keeps_identity(monkeypatch):
     # uniform sampling leaves the identity stationary for the tuner (see
     # above), so stage 2 would only re-solve the stage-1 program
-    import wlift.solver
+    import wlift.weights
     basis = hankel_basis(59, 30)
     y = synthesize(random_mixture(59, 3, np.random.default_rng(7)))
     sset = sample_uniform_m(59, 40, seed=0)
     obs = y[sset.indices - 1]
-    direct = wlift.solver.complete(basis, identity_weights(basis.dims),
-                                   sset, obs)
+    direct = wlift.weights.complete(basis, identity_weights(basis.dims),
+                                    sset, obs)
     calls = []
-    original = wlift.solver.complete
+    original = wlift.weights.complete
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(wlift.solver, "complete", counting)
+    monkeypatch.setattr(wlift.weights, "complete", counting)
     weights, result = two_stage_pipeline(basis, sset, obs)
     assert len(calls) == 1
     np.testing.assert_array_equal(result.estimate, direct.estimate)
