@@ -49,6 +49,9 @@ def _resolve(args) -> dict:
     """
     config = {} if args.config is None \
         else json.loads(Path(args.config).read_text())
+    if not isinstance(config, dict):
+        raise ValueError("a --config file must hold a JSON object, "
+                         f"not {type(config).__name__}")
     unknown = sorted(set(config) - CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")

@@ -12,7 +12,7 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -73,6 +73,10 @@ class PhaseGrid:
             raise ValueError(f"unknown structure {self.structure!r}")
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting {self.weighting!r}")
+        if not isinstance(self.min_separation, Real) \
+                or isinstance(self.min_separation, bool):
+            raise ValueError("min_separation must be a real number, "
+                             f"got {self.min_separation!r}")
         _check_separation(max(self.sparsity_levels, default=1),
                           self.min_separation)
 

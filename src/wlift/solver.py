@@ -2,8 +2,9 @@
 
 ADMM on the splitting  min ||Z||_*  s.t.  Z = W_L L(g) W_R^H  with g held
 on the observed coordinates (noiseless) or inside the l2-ball around the
-noisy observations (noisy). The Z-update is singular value thresholding;
-the g-update is a least-squares solve, coordinate-separable because the
+noisy observations (noisy). The Z-update is singular value thresholding,
+computed from the eigendecomposition of the smaller Gram matrix; the
+g-update is a least-squares solve, coordinate-separable because the
 weights are diagonal and the lifting patterns are disjoint.
 """
 
@@ -40,11 +41,15 @@ class SolverConfig:
     success_threshold: float = 1e-3
 
     def __post_init__(self):
-        if not (isinstance(self.max_iters, Integral) and self.max_iters >= 1):
+        # bool is an Integral, but True is no iteration count or penalty
+        if not (isinstance(self.max_iters, Integral)
+                and not isinstance(self.max_iters, bool)
+                and self.max_iters >= 1):
             raise ValueError("max_iters must be an integer of at least 1")
         for name in ("penalty", "abs_tol", "rel_tol", "success_threshold"):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and 0 < value < math.inf):
+            if not (isinstance(value, Real) and not isinstance(value, bool)
+                    and 0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite")
 
 
@@ -59,11 +64,24 @@ class CompletionResult:
 
 
 def svt(m: np.ndarray, tau: float) -> np.ndarray:
-    """Proximal operator of tau * nuclear norm: soft-shrink singular values."""
+    """Proximal operator of tau * nuclear norm: soft-shrink singular values.
+
+    Works through the eigendecomposition of the smaller Gram matrix
+    B B^H (B = m, or m^H when m is tall), which is cheaper than an SVD
+    of m: with B B^H = U diag(s^2) U^H, the result is
+    U_k diag(1 - tau / s_k) U_k^H B over the pairs with s_k > tau.
+    """
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
-    u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=False)
-    return (u * np.maximum(s - tau, 0.0)) @ vh
+    m = np.asarray(m, dtype=complex)
+    tall = m.shape[0] > m.shape[1]
+    b = m.conj().T if tall else m
+    w, u = np.linalg.eigh(b @ b.conj().T)
+    s = np.sqrt(np.maximum(w, 0.0))
+    keep = s > tau
+    uk = u[:, keep]
+    out = (uk * (1.0 - tau / s[keep])) @ (uk.conj().T @ b)
+    return out.conj().T if tall else out
 
 
 def relative_error(truth: np.ndarray, estimate: np.ndarray) -> float:

@@ -161,14 +161,19 @@ def two_stage_pipeline(basis: LiftingBasis, sample_set: SampleSet,
 
     Stage 1 completes with identity weights; its lifted estimate provides
     the pilot subspace for weight tuning; stage 2 re-solves the weighted
-    program. Returns (weights, stage-2 result). If the stage-1 lift is
-    degenerate, tuning falls back, or tuning does not lower its objective
-    (it then returns scaled identity weights, whose program stage 1 has
-    already solved), the stage-1 result is returned with identity weights.
+    program. Returns (weights, stage-2 result). If stage 1 did not
+    converge, its lift is degenerate, tuning falls back, or tuning does
+    not lower its objective (it then returns scaled identity weights,
+    whose program stage 1 has already solved), the stage-1 result is
+    returned with identity weights. The pilot's rank cut sits far below
+    the accuracy of an unconverged stage 1, so weights tuned from one
+    would follow rounding noise.
     """
     ident = identity_weights(basis.dims)
     stage1 = complete(basis, ident, sample_set, observed,
                       config=solver_config)
+    if not stage1.converged:
+        return ident, stage1
     try:
         pilot = subspace_of(basis, stage1.estimate)
     except ValueError:

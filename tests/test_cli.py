@@ -149,11 +149,19 @@ def test_phase_invalid_grid_is_usage_error(tmp_path):
     # a misspelled weighting must not silently run identity
     ("complete", {"structure": "hankel", "n": 21, "d": 10, "k": 1, "m": 15,
                   "weighting": "two-stage"}),
+    # a config that is not an object, and keys no flag types
+    ("complete", [1]),
+    ("phase", {"n": 21, "d": 10, "sample_counts": [15],
+               "sparsity_levels": [1], "trials": 1, "min_separation": "x"}),
+    ("complete", {"structure": "hankel", "n": 21, "d": 10, "k": 1, "m": 15,
+                  "penalty": True}),
 ], ids=["phase-nan-penalty", "complete-fractional-max-iters",
         "phase-fractional-trials", "noise-sweep-zero-trials",
         "noise-sweep-fractional-trials", "noise-sweep-scalar-etas",
         "complete-fractional-m", "phase-scalar-sample-counts",
-        "synth-string-n", "complete-unknown-weighting"])
+        "synth-string-n", "complete-unknown-weighting",
+        "complete-list-config", "phase-string-min-separation",
+        "complete-bool-penalty"])
 def test_non_finite_or_fractional_config_is_usage_error(command, config,
                                                          tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

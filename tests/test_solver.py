@@ -46,6 +46,50 @@ def test_svt_full_shrinkage_gives_zero():
     np.testing.assert_allclose(svt(m, 5.0), np.zeros((2, 2)), atol=1e-15)
 
 
+def _svd_svt(m, tau):
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    return (u * np.maximum(s - tau, 0.0)) @ vh
+
+
+@pytest.mark.parametrize("shape", ["square", "tall", "wide", "rank3", "real"])
+def test_svt_matches_svd_reference(shape):
+    rng = np.random.default_rng(42)
+
+    def cnormal(*size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    m = {"square": lambda: cnormal(30, 30),
+         "tall": lambda: cnormal(12, 5),
+         "wide": lambda: cnormal(5, 12),
+         "rank3": lambda: cnormal(30, 3) @ cnormal(3, 30),
+         "real": lambda: rng.normal(size=(8, 6))}[shape]()
+    s = np.linalg.svd(m, compute_uv=False)
+    for tau in (0.0, s[s.size // 2], 1.5 * s[0]):
+        np.testing.assert_allclose(svt(m, tau), _svd_svt(m, tau), rtol=0,
+                                   atol=1e-9 * s[0])
+
+
+def test_complete_calls_module_svt_once_per_iteration(monkeypatch):
+    # the benchmark's tracer times the solver's SVT by wrapping the module
+    # global from outside, so complete() must look it up there every time
+    import wlift.solver
+    calls = []
+    original = wlift.solver.svt
+
+    def counting(m, tau):
+        calls.append(tau)
+        return original(m, tau)
+
+    monkeypatch.setattr(wlift.solver, "svt", counting)
+    basis = hankel_basis(31, 16)
+    y = synthesize(random_mixture(31, 2, np.random.default_rng(4)))
+    sset = sample_uniform_m(31, 20, seed=1)
+    result = complete(basis, identity_weights(basis.dims), sset,
+                      y[sset.indices - 1])
+    assert result.iterations > 1
+    assert len(calls) == result.iterations
+
+
 def test_relative_error_examples():
     assert relative_error([1, 0], [1, 0]) == 0
     assert abs(relative_error([3, 4], [3, 0]) - 0.8) < 1e-12
@@ -192,7 +236,9 @@ def test_solver_config_validation():
     # NaN and inf tolerances or penalties, and fractional iteration counts
     for bad in ({"penalty": np.nan}, {"abs_tol": np.inf},
                 {"success_threshold": np.nan}, {"max_iters": 2.5},
-                {"max_iters": "10"}):
+                {"max_iters": "10"}, {"max_iters": True},
+                {"penalty": True}, {"abs_tol": True}, {"rel_tol": True},
+                {"success_threshold": True}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     assert SolverConfig(max_iters=np.int64(5)).max_iters == 5

@@ -195,3 +195,22 @@ def test_two_stage_reuses_stage_one_when_tuning_keeps_identity(monkeypatch):
     np.testing.assert_array_equal(result.estimate, direct.estimate)
     assert result.iterations == direct.iterations
     np.testing.assert_array_equal(weights.left_diag, np.ones(30))
+
+
+def test_two_stage_unconverged_stage_one_keeps_identity(monkeypatch):
+    # an unconverged stage 1 gives no pilot subspace to tune from
+    import wlift.weights
+
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tuned from an unconverged stage 1")
+
+    monkeypatch.setattr(wlift.weights, "tune_diagonal_weights", no_tuning)
+    basis = hankel_basis(59, 30)
+    y = synthesize(random_mixture(59, 3, np.random.default_rng(7)))
+    sset = sample_uniform_m(59, 40, seed=0)
+    weights, result = two_stage_pipeline(basis, sset, y[sset.indices - 1],
+                                         SolverConfig(max_iters=1))
+    assert not result.converged
+    assert result.iterations == 1
+    np.testing.assert_array_equal(weights.left_diag, np.ones(30))
+    np.testing.assert_array_equal(weights.right_diag, np.ones(30))
