@@ -9,7 +9,7 @@ from .scores import (ScoreVector, SubspacePair, a_norm_2, a_norm_inf,
 from .signal import (Mixture, SampleSet, add_noise, project, sample_bernoulli,
                      sample_uniform_m, synthesize)
 from .solver import CompletionResult, SolverConfig, complete, relative_error, svt
-from .weights import (WeightPair, diagonal_weights, identity_weights,
-                      tune_diagonal_weights, two_stage_pipeline)
+from .weights import (WeightPair, identity_weights, tune_diagonal_weights,
+                      two_stage_pipeline)
 
 __version__ = "0.1.0"

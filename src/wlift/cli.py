@@ -21,7 +21,7 @@ from .experiments import (PhaseGrid, build_basis, emit_dat, noise_sweep,
 from .lifting import validate_basis
 from .scores import (SingularWeightsError, leverage_scores, lifting_coefficient,
                      scores_to_text, subspace_of)
-from .signal import mixture_to_text, sample_uniform_m, synthesize
+from .signal import mixture_to_text, synthesize
 from .solver import SolverConfig
 from .weights import tune_diagonal_weights
 
@@ -138,9 +138,8 @@ def cmd_complete(args) -> int:
 def cmd_tune(args) -> int:
     resolved = _resolve(args)
     basis = build_basis(resolved["structure"], resolved["n"], resolved["d"])
-    y = synthesize(_seeded_mixture(resolved))
-    sset = sample_uniform_m(resolved["n"], resolved["m"],
-                            seed=resolved.get("seed", 0))
+    y, sset = experiments._draw(resolved["n"], resolved.get("k", 1),
+                                resolved["m"], resolved.get("seed", 0))
     try:
         pilot = subspace_of(basis, y)
         tuned = tune_diagonal_weights(basis, sset, pilot)

@@ -61,6 +61,8 @@ class PhaseGrid:
         if not all(isinstance(c, Integral) for c in counts):
             raise ValueError("N, pencil, trials, base_seed, sample counts "
                              "and sparsity levels must be integers")
+        if not self.sample_counts or not self.sparsity_levels:
+            raise ValueError("sample counts and sparsity levels must be nonempty")
         if self.trials < 1:
             raise ValueError("need at least one trial per cell")
         if not 1 <= self.pencil <= self.n:
@@ -77,8 +79,7 @@ class PhaseGrid:
                 or isinstance(self.min_separation, bool):
             raise ValueError("min_separation must be a real number, "
                              f"got {self.min_separation!r}")
-        _check_separation(max(self.sparsity_levels, default=1),
-                          self.min_separation)
+        _check_separation(max(self.sparsity_levels), self.min_separation)
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,11 @@ def cell_seed(base_seed: int, m: int, k: int, trial: int) -> int:
 
 
 def _check_separation(k: int, min_separation: float) -> None:
-    # K gaps on the unit circle sum to 1, so K * separation >= 1 (or NaN)
-    # can never be drawn and the rejection loop would spin forever
+    if not min_separation >= 0:  # NaN included
+        raise ValueError("min_separation must be nonnegative, "
+                         f"got {min_separation}")
+    # K gaps on the unit circle sum to 1, so K * separation >= 1 can never
+    # be drawn and the rejection loop would spin forever
     if not k * min_separation < 1:
         raise ValueError(f"{k} frequencies cannot be {min_separation} apart "
                          "on the unit circle")
@@ -204,6 +208,8 @@ def phase_transition(grid: PhaseGrid, workers: int = 1) -> SuccessSurface:
 
     workers > 1 spreads the cells over that many processes.
     """
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     cells = [(grid, mi, ki)
              for ki in range(len(grid.sparsity_levels))
              for mi in range(len(grid.sample_counts))]

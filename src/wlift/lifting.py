@@ -8,9 +8,10 @@ holds x_n; the back projection inverts it coordinate-wise. A basis may
 mark some cells as conjugating, in which case those cells carry conj(x_n)
 and the lift is real-linear instead of complex-linear.
 
-Patterns are kept as flat coordinate arrays grouped by element, and each
-basis derives (once, on first use) the flat index arrays that make the
-lift one gather and its adjoint one gather plus one `bincount`.
+A basis is three flat per-cell arrays (row, column, element), grouped by
+element; the Hankel builders compute them from grid index arithmetic.
+Each basis derives (once, on first use) the flat index arrays that make
+the lift one gather and its adjoint one gather plus one `bincount`.
 `LiftOperator` is the one implementation of both; it also carries
 optional per-cell weights, which is how the solver applies diagonal
 weight pairs.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,8 +44,8 @@ class LiftingBasis:
 
     rows/cols/element are parallel flat arrays: entry j says element
     `element[j]` (0-based) has a nonzero at (rows[j], cols[j]) of value
-    1/sqrt(omega) for that element. Entries are grouped by element;
-    `offsets[n]:offsets[n+1]` slices element n's pattern.
+    1/sqrt(omega) for that element. Entries are grouped by element, in
+    the order the adjoint's `bincount` adds them.
     """
 
     n: int
@@ -52,7 +53,6 @@ class LiftingBasis:
     rows: np.ndarray
     cols: np.ndarray
     element: np.ndarray
-    offsets: np.ndarray
     support_counts: np.ndarray  # omega_n
     conjugated: Optional[np.ndarray] = None  # flat mask of conjugating cells
 
@@ -63,8 +63,8 @@ class LiftingBasis:
 
     def pattern(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """(rows, cols) of element n, 0-based n."""
-        lo, hi = self.offsets[n], self.offsets[n + 1]
-        return self.rows[lo:hi], self.cols[lo:hi]
+        mask = self.element == n
+        return self.rows[mask], self.cols[mask]
 
     def element_sum(self, vals: np.ndarray) -> np.ndarray:
         """Sum flat per-cell values (aligned with rows/cols) over each element."""
@@ -196,37 +196,41 @@ class BasisReport:
         return self.first_failure is None
 
 
-def make_basis(n: int, dims: Tuple[int, int],
-               patterns: List[Tuple[np.ndarray, np.ndarray]],
+def make_basis(n: int, dims: Tuple[int, int], rows: np.ndarray,
+               cols: np.ndarray, element: np.ndarray,
                conjugated: Optional[np.ndarray] = None) -> LiftingBasis:
-    """Assemble a basis from per-element (rows, cols) patterns.
+    """Assemble a basis from flat per-cell arrays.
 
-    `conjugated`, when given, is a flat boolean mask (aligned with the
-    concatenated patterns) marking cells that carry the conjugate of their
-    coordinate instead of the coordinate itself.
+    Cell j of element `element[j]` (0-based) sits at (rows[j], cols[j]).
+    A stable sort groups the cells by element, so each element keeps its
+    cells in the order given. `conjugated`, when given, is a flat boolean
+    mask over the same cells marking those that carry the conjugate of
+    their coordinate instead of the coordinate itself.
     """
-    counts = np.array([len(r) for r, _ in patterns], dtype=np.int64)
+    element = np.asarray(element, dtype=np.int64)
+    if np.any((element < 0) | (element >= n)):
+        raise ValueError(f"element indices must lie in [0, {n})")
+    counts = np.bincount(element, minlength=n)
     if np.any(counts < 1):
         raise ValueError("every basis element needs a nonempty pattern")
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    rows = np.concatenate([r for r, _ in patterns]).astype(np.int64)
-    cols = np.concatenate([c for _, c in patterns]).astype(np.int64)
-    element = np.repeat(np.arange(n), counts)
+    rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
+    if rows.shape != element.shape or cols.shape != element.shape:
+        raise ValueError("rows, cols and element must align")
+    order = np.argsort(element, kind="stable")
     if conjugated is not None:
         conjugated = np.asarray(conjugated, dtype=bool)
-        if conjugated.shape != rows.shape:
-            raise ValueError("conjugation mask must align with the patterns")
-    return LiftingBasis(n, dims, rows, cols, element, offsets,
+        if conjugated.shape != element.shape:
+            raise ValueError("conjugation mask must align with the cells")
+        conjugated = conjugated[order]
+    return LiftingBasis(n, dims, rows[order], cols[order], element[order],
                         counts, conjugated)
 
 
-def _hankel_patterns(n: int, d: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    d2 = n - d + 1
-    pats = []
-    for k in range(1, n + 1):  # 1-based element index, cells i + j - 1 = k
-        i = np.arange(max(1, k - d2 + 1), min(d, k) + 1)
-        pats.append((i - 1, k - i))
-    return pats
+def _hankel_grid(n: int, pencil: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the d x (N - d + 1) grid's cells, row-major."""
+    if not 1 <= pencil <= n:
+        raise ValueError(f"pencil must lie in [1, N], got {pencil} for N={n}")
+    return np.divmod(np.arange(pencil * (n - pencil + 1)), n - pencil + 1)
 
 
 def hankel_basis(n: int, pencil: int) -> LiftingBasis:
@@ -235,9 +239,8 @@ def hankel_basis(n: int, pencil: int) -> LiftingBasis:
     Element k occupies the antidiagonal i + j - 1 = k, so the lift
     reproduces the plain Hankel matrix M[i, j] = x[i + j - 1].
     """
-    if not 1 <= pencil <= n:
-        raise ValueError(f"pencil must lie in [1, N], got {pencil} for N={n}")
-    return make_basis(n, (pencil, n - pencil + 1), _hankel_patterns(n, pencil))
+    rows, cols = _hankel_grid(n, pencil)
+    return make_basis(n, (pencil, n - pencil + 1), rows, cols, rows + cols)
 
 
 def double_hankel_basis(n: int, pencil: int) -> LiftingBasis:
@@ -253,20 +256,13 @@ def double_hankel_basis(n: int, pencil: int) -> LiftingBasis:
     instead of doubling; this is what makes the double structure complete
     better than the single one.
     """
-    if not 1 <= pencil <= n:
-        raise ValueError(f"pencil must lie in [1, N], got {pencil} for N={n}")
+    rows, cols = _hankel_grid(n, pencil)
     d2h = n - pencil + 1
-    fwd = _hankel_patterns(n, pencil)
-    pats = []
-    conj_chunks = []
-    for k in range(1, n + 1):
-        r1, c1 = fwd[k - 1]
-        r2, c2 = fwd[n - k]  # x_k sits at position N + 1 - k of the reversal
-        pats.append((np.concatenate([r1, r2]),
-                     np.concatenate([c1, c2 + d2h])))
-        conj_chunks.append(np.concatenate([np.zeros(r1.size, dtype=bool),
-                                           np.ones(r2.size, dtype=bool)]))
-    return make_basis(n, (pencil, 2 * d2h), pats, np.concatenate(conj_chunks))
+    # mirror antidiagonal a holds conj(x) at 0-based position N - 1 - a
+    return make_basis(n, (pencil, 2 * d2h), np.tile(rows, 2),
+                      np.concatenate([cols, cols + d2h]),
+                      np.concatenate([rows + cols, n - 1 - (rows + cols)]),
+                      np.arange(2 * rows.size) >= rows.size)
 
 
 def lift(basis: LiftingBasis, x: np.ndarray) -> np.ndarray:
@@ -302,8 +298,8 @@ def validate_basis(basis: LiftingBasis) -> BasisReport:
     d2 = basis.dims[1]
     offenders = {
         # entries are 1/sqrt(omega_n): unit norm iff omega_n counts the cells
-        "unit_frobenius": np.flatnonzero(
-            np.diff(basis.offsets) != basis.support_counts),
+        "unit_frobenius": np.flatnonzero(np.bincount(
+            basis.element, minlength=basis.n) != basis.support_counts),
         "equal_positive_entries": np.flatnonzero(basis.support_counts < 1),
         # equal-sign entries are orthogonal iff no cell is shared
         "orthogonal": basis.element[_repeated(basis.rows * d2 + basis.cols)],

@@ -154,12 +154,11 @@ def lifting_coefficient(basis: LiftingBasis) -> float:
     omega_n; for single-entry-per-row structures this reduces to
     sum_n 1/omega_n.
     """
-    total = 0.0
-    for k in range(basis.n):
-        r, _ = basis.pattern(k)
-        per_row = np.bincount(r)
-        total += per_row.max() / basis.support_counts[k]
-    return float(total)
+    d1 = basis.dims[0]
+    per_row = np.bincount(basis.element * d1 + basis.rows,
+                          minlength=basis.n * d1).reshape(basis.n, d1)
+    # a Python sum adds in element order, rounding as a running total would
+    return float(sum((per_row.max(axis=1) / basis.support_counts).tolist()))
 
 
 def probability_floor(scores: ScoreVector, r_l: float, n: int,

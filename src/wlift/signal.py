@@ -38,8 +38,9 @@ class Mixture:
     components: Tuple[Tuple[complex, complex], ...]
 
     def __init__(self, n_samples: int, components: Sequence[Tuple[complex, complex]]):
-        if n_samples < 1:
-            raise ValueError(f"need at least one sample, got N={n_samples}")
+        if n_samples < 1 or n_samples % 1:
+            raise ValueError(f"need a whole number of samples, at least one, "
+                             f"got N={n_samples}")
         comps = tuple((complex(b), complex(z)) for b, z in components)
         if len(comps) < 1:
             raise ValueError("mixture needs at least one component")
@@ -60,9 +61,10 @@ class SampleSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ValueError("indices must be one-dimensional")
+        idx = np.asarray(self.indices)
+        if idx.ndim != 1 or np.any(idx % 1):
+            raise ValueError("indices must be a 1-D array of whole numbers")
+        idx = idx.astype(np.int64, copy=False)
         if idx.size and (idx[0] < 1 or idx[-1] > self.universe):
             raise ValueError("indices out of range")
         if idx.size and np.any(np.diff(idx) <= 0):

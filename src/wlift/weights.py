@@ -22,7 +22,6 @@ __all__ = [
     "WeightPair",
     "TuneResult",
     "identity_weights",
-    "diagonal_weights",
     "tune_diagonal_weights",
     "two_stage_pipeline",
 ]
@@ -66,11 +65,7 @@ class WeightPair:
 
 def identity_weights(dims: Tuple[int, int]) -> WeightPair:
     d1, d2 = dims
-    return diagonal_weights(np.ones(d1), np.ones(d2))
-
-
-def diagonal_weights(left_diag: np.ndarray, right_diag: np.ndarray) -> WeightPair:
-    return WeightPair(left_diag, right_diag)
+    return WeightPair(np.ones(d1), np.ones(d2))
 
 
 TUNE_SWEEPS = 4             # coordinate-descent sweeps
@@ -150,7 +145,7 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
 
     if best >= baseline:
         return TuneResult(identity, baseline, baseline, sweeps)
-    tuned = diagonal_weights(wl, wr).frobenius_normalized()
+    tuned = WeightPair(wl, wr).frobenius_normalized()
     return TuneResult(tuned, best, baseline, sweeps)
 
 

@@ -4,6 +4,10 @@ import json
 import pytest
 
 from wlift.cli import build_parser, main
+from wlift.experiments import _draw
+from wlift.lifting import hankel_basis
+from wlift.scores import subspace_of
+from wlift.weights import tune_diagonal_weights
 
 
 SUBCOMMANDS = ["synth", "scores", "complete", "tune", "phase", "noise-sweep",
@@ -96,6 +100,20 @@ def test_tune_output_shape(capsys):
     assert len(lines[5].split()) == 12
 
 
+def test_tune_observes_the_trial_draw(capsys):
+    # tune and complete with one seed see one sample set; the pilot is the
+    # truth's subspace
+    assert main(["tune", "--structure", "hankel", "--n", "21", "--d", "10",
+                 "--k", "2", "--m", "12", "--seed", "4"]) == 0
+    y, sset = _draw(21, 2, 12, 4)
+    basis = hankel_basis(21, 10)
+    tuned = tune_diagonal_weights(basis, sset, subspace_of(basis, y))
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1] == f"{tuned.objective:.6f} {tuned.baseline:.6f}"
+    assert lines[3] == " ".join(f"{v:.6f}" for v in tuned.weights.left_diag)
+    assert lines[5] == " ".join(f"{v:.6f}" for v in tuned.weights.right_diag)
+
+
 def test_validate_basis_all_pass(capsys):
     assert main(["validate-basis", "--structure", "double-hankel",
                  "--n", "21", "--d", "14"]) == 0
@@ -113,7 +131,7 @@ def test_phase_invalid_grid_is_usage_error(tmp_path):
     cfg = tmp_path / "grid.json"
     # M above N; M below 1 after a valid cell; a pencil above N; a
     # separation no K = 4 draw can meet; one that K = 10 uniform draws meet
-    # with probability 1e-9
+    # with probability 1e-9; an empty axis; a negative separation
     for grid in ({"sample_counts": [40], "sparsity_levels": [1]},
                  {"n": 59, "d": 30, "sample_counts": [40, 0],
                   "sparsity_levels": [2]},
@@ -121,11 +139,27 @@ def test_phase_invalid_grid_is_usage_error(tmp_path):
                  {"sample_counts": [10], "sparsity_levels": [4],
                   "min_separation": 0.3},
                  {"sample_counts": [10], "sparsity_levels": [10],
-                  "min_separation": 0.09}):
+                  "min_separation": 0.09},
+                 {"sample_counts": [], "sparsity_levels": [1]},
+                 {"sample_counts": [10], "sparsity_levels": []},
+                 {"sample_counts": [10], "sparsity_levels": [1],
+                  "min_separation": -0.5}):
         cfg.write_text(json.dumps({"n": 21, "d": 10, "trials": 1, **grid}))
         assert main(["phase", "--config", str(cfg),
                      "--out", str(tmp_path / "x.dat")]) == 1
         assert sorted(f.name for f in tmp_path.iterdir()) == ["grid.json"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_phase_without_workers_is_usage_error(workers, tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"n": 21, "d": 10, "trials": 1,
+                               "sample_counts": [15], "sparsity_levels": [1]}))
+    out = tmp_path / "x.dat"
+    assert main(["phase", "--config", str(cfg), "--workers", workers,
+                 "--out", str(out)]) == 1
+    assert "worker" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, config", [

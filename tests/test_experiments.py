@@ -79,12 +79,17 @@ def test_phase_grid_validation():
         PhaseGrid((40, 0), (2,))
     with pytest.raises(ValueError):
         PhaseGrid((40,), (0,))
+    # an empty axis would give a header-only .dat
+    for counts, levels in (((), (2,)), ((40,), ())):
+        with pytest.raises(ValueError):
+            PhaseGrid(counts, levels)
     for pencil in (0, 60, 80):
         with pytest.raises(ValueError):
             PhaseGrid((20,), (2,), pencil=pencil)
     # fractional counts, and a NaN separation the rejection loop never meets
+    # and a negative separation, which would be recorded but drawn as 0
     for bad in ({"trials": 2.5}, {"n": 59.0}, {"base_seed": 0.5},
-                {"min_separation": np.nan}):
+                {"min_separation": np.nan}, {"min_separation": -0.5}):
         with pytest.raises(ValueError):
             PhaseGrid((20,), (2,), **bad)
     with pytest.raises(ValueError):
@@ -139,6 +144,13 @@ def test_phase_transition_workers_match_serial():
     assert len(np.unique(serial.rates)) == 3
     pooled = phase_transition(grid, workers=2)
     np.testing.assert_array_equal(pooled.rates, serial.rates)
+
+
+def test_phase_transition_rejects_no_workers():
+    grid = PhaseGrid((21,), (1,), trials=1, n=21, pencil=10)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="worker"):
+            phase_transition(grid, workers=workers)
 
 
 def test_phase_transition_monotone_in_samples():

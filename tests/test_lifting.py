@@ -156,6 +156,50 @@ def test_hankel_patterns_tile_grid_once():
     assert abs(np.sum(basis.coefficients ** 2) - 30 * 30) < 1e-9
 
 
+def _reference_cells(n, d):
+    """(element, row, col, conjugated) per cell, built element by element.
+
+    Each antidiagonal lists its cells in ascending row order; double-Hankel
+    puts an element's first-block cells ahead of its mirror-block cells.
+    """
+    d2 = n - d + 1
+    hankel, double = [], []
+    for e in range(n):
+        first = [(e, i, e - i, False) for i in range(d) if 0 <= e - i < d2]
+        a = n - 1 - e  # the mirror block's antidiagonal holding conj(x_e)
+        mirror = [(e, i, d2 + a - i, True) for i in range(d) if 0 <= a - i < d2]
+        hankel += first
+        double += first + mirror
+    return hankel, double
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_builders_pin_cell_order(n):
+    # the adjoint's bincount adds each element's cells in this order, so
+    # another order would move solve results in their last bits
+    for d in range(1, n + 1):
+        hankel, double = _reference_cells(n, d)
+        for basis, ref in ((hankel_basis(n, d), hankel),
+                           (double_hankel_basis(n, d), double)):
+            conj = (np.zeros(basis.rows.size, dtype=bool)
+                    if basis.conjugated is None else basis.conjugated)
+            cells = zip(basis.element.tolist(), basis.rows.tolist(),
+                        basis.cols.tolist(), conj.tolist())
+            assert list(cells) == ref
+
+
+def test_make_basis_rejects_bad_cells():
+    # element 1 empty, an element index past N, a negative one
+    for element in ([0, 0], [0, 2], [-1, 1]):
+        with pytest.raises(ValueError):
+            make_basis(2, (2, 2), [0, 1], [0, 1], element)
+    # a row or a mask entry missing
+    with pytest.raises(ValueError):
+        make_basis(2, (2, 2), [0], [0, 1], [0, 1])
+    with pytest.raises(ValueError):
+        make_basis(2, (2, 2), [0, 1], [0, 1], [0, 1], conjugated=[True])
+
+
 def _duplicate_cell():
     basis = hankel_basis(3, 2)
     rows = basis.rows.copy()
@@ -166,9 +210,8 @@ def _duplicate_cell():
 
 def _shared_column():
     # element 1 puts both of its cells in column 0; no cell is shared
-    return make_basis(2, (2, 2),
-                      [(np.array([0]), np.array([1])),
-                       (np.array([0, 1]), np.array([0, 0]))])
+    return make_basis(2, (2, 2), rows=[0, 0, 1], cols=[1, 0, 0],
+                      element=[0, 1, 1])
 
 
 def _miscounted_support():
@@ -253,10 +296,8 @@ def _reference_adjoint(basis, cell, m):
 
 def _partial_cover():
     # 5 of 9 cells covered, two of them conjugating
-    return make_basis(3, (3, 3),
-                      [(np.array([0]), np.array([0])),
-                       (np.array([1, 2]), np.array([1, 0])),
-                       (np.array([0, 2]), np.array([1, 2]))],
+    return make_basis(3, (3, 3), rows=[0, 1, 2, 0, 2], cols=[0, 1, 0, 1, 2],
+                      element=[0, 1, 1, 2, 2],
                       conjugated=[False, False, True, True, False])
 
 

@@ -12,7 +12,7 @@ from wlift.scores import (SingularWeightsError, _right_product_norms,
                           probability_floor, scores_to_text, subspace_of,
                           weighted_leverage_scores)
 from wlift.signal import synthesize
-from wlift.weights import diagonal_weights, identity_weights
+from wlift.weights import WeightPair, identity_weights
 
 
 def dense_leverage_scores(basis, sub):
@@ -112,9 +112,9 @@ def test_weighted_scores_scale_invariant():
     sub = subspace_of(basis, synthesize(mix))
     wl = 0.5 + rng.random(10)
     wr = 0.5 + rng.random(12)
-    base = weighted_leverage_scores(basis, diagonal_weights(wl, wr), sub)
+    base = weighted_leverage_scores(basis, WeightPair(wl, wr), sub)
     scaled = weighted_leverage_scores(
-        basis, diagonal_weights(2.0 * wl, 7.0 * wr), sub)
+        basis, WeightPair(2.0 * wl, 7.0 * wr), sub)
     np.testing.assert_allclose(scaled.values, base.values, atol=1e-10)
 
 
@@ -125,7 +125,7 @@ def test_weighted_scores_singular_guard():
     wl = np.zeros(4)
     wl[0] = 1.0  # kills all but one row; Gram loses rank
     with pytest.raises(SingularWeightsError):
-        weighted_leverage_scores(basis, diagonal_weights(wl, np.ones(6)), sub)
+        weighted_leverage_scores(basis, WeightPair(wl, np.ones(6)), sub)
 
 
 def test_lifting_coefficient_hankel_values():
@@ -145,12 +145,27 @@ def test_lifting_coefficient_logarithmic_growth():
     np.testing.assert_allclose(diffs, 2 * math.log(2), atol=0.15)
 
 
+@pytest.mark.parametrize("make,n,d", [
+    (hankel_basis, 59, 30), (hankel_basis, 21, 4),
+    (double_hankel_basis, 59, 40), (double_hankel_basis, 21, 4),
+])
+def test_lifting_coefficient_matches_element_loop(make, n, d):
+    # the per-element loop, adding in element order, is the reference
+    basis = make(n, d)
+    total = 0.0
+    for k in range(n):
+        rows, _ = basis.pattern(k)
+        total += np.bincount(rows).max() / basis.support_counts[k]
+    assert lifting_coefficient(basis) == total
+
+
 def test_lifting_coefficient_constant_support():
     # all omega_n = N gives R = 1 (wrap-around-style support profile)
     from wlift.lifting import make_basis
     n = 4
-    pats = [(np.arange(4), (np.arange(4) + k) % 4) for k in range(n)]
-    basis = make_basis(n, (4, 4), pats)
+    element = np.repeat(np.arange(n), 4)
+    rows = np.tile(np.arange(4), n)
+    basis = make_basis(n, (4, 4), rows, (rows + element) % 4, element)
     assert abs(lifting_coefficient(basis) - 1.0) < 1e-12
 
 
@@ -240,7 +255,7 @@ def test_diag_weight_bound_dominates_scores():
         sub = subspace_of(basis, synthesize(mix))
         wl = 0.5 + rng.random(16)
         wr = 0.5 + rng.random(16)
-        weights = diagonal_weights(wl, wr)
+        weights = WeightPair(wl, wr)
         mu = weighted_leverage_scores(basis, weights, sub)
         beta = corollary_beta(sub, 31)
         bound = diag_weight_bound(basis, weights, beta, sub.rank)
@@ -257,10 +272,10 @@ def test_diag_weight_bound_ignores_large_entries():
     assert count < 10
     wl = np.ones(10)
     wr = np.ones(12)
-    a = diag_weight_bound(basis, diagonal_weights(wl, wr), beta, sub.rank)
+    a = diag_weight_bound(basis, WeightPair(wl, wr), beta, sub.rank)
     wl2 = wl.copy()
     wl2[-1] = 100.0  # outside the smallest-count partial sum
-    b = diag_weight_bound(basis, diagonal_weights(wl2, wr), beta, sub.rank)
+    b = diag_weight_bound(basis, WeightPair(wl2, wr), beta, sub.rank)
     # denominators unchanged; only elements touching the boosted row move up
     assert np.all(b >= a - 1e-12)
     touched = np.unique(basis.element[basis.rows == 9])

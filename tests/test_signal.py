@@ -43,6 +43,10 @@ def test_mixture_rejects_degenerate():
         Mixture(5, [])
     with pytest.raises(ValueError):
         Mixture(5, [(1, 0)])
+    for n in (2.5, float("nan")):  # not truncated to N = 2, nor passed on
+        with pytest.raises(ValueError):
+            Mixture(n, [(1, 1)])
+    assert Mixture(5.0, [(1, 1)]).n_samples == 5
 
 
 def test_add_noise_zero_is_identity():
@@ -135,6 +139,9 @@ def test_sample_set_invariants():
         SampleSet(4, np.array([1, 1, 2]))
     with pytest.raises(ValueError):
         SampleSet(4, np.array([0, 2]))
+    with pytest.raises(ValueError):  # not truncated to [1, 2]
+        SampleSet(10, [1.5, 2.7])
+    np.testing.assert_array_equal(SampleSet(10, [1.0, 3.0]).indices, [1, 3])
 
 
 def test_mixture_text_roundtrip():

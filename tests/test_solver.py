@@ -7,7 +7,7 @@ from wlift.signal import (Mixture, SampleSet, add_noise,
                           sample_uniform_m, synthesize)
 from wlift.solver import (CompletionResult, SolverConfig, complete,
                           relative_error, svt)
-from wlift.weights import diagonal_weights, identity_weights
+from wlift.weights import WeightPair, identity_weights
 
 
 def grid_search_oracle(obs, indices, n):
@@ -159,8 +159,7 @@ def test_complete_objective_is_weighted_nuclear_norm():
     basis = hankel_basis(21, 10)
     y = synthesize(random_mixture(21, 2, np.random.default_rng(7)))
     sset = sample_uniform_m(21, 15, seed=5)
-    weights = diagonal_weights(0.5 + np.arange(10) / 10.0,
-                               np.ones(12) * 2.0)
+    weights = WeightPair(0.5 + np.arange(10) / 10.0, np.ones(12) * 2.0)
     result = complete(basis, weights, sset, y[sset.indices - 1])
     lifted = (weights.left_diag[:, None] * lift(basis, result.estimate)
               * weights.right_diag[None, :])
@@ -208,7 +207,7 @@ def test_complete_error_conditions():
 
 def test_complete_annihilating_weights_rejected():
     basis = hankel_basis(9, 4)
-    weights = diagonal_weights(np.zeros(4), np.ones(6))
+    weights = WeightPair(np.zeros(4), np.ones(6))
     with pytest.raises(ValueError):
         complete(basis, weights, SampleSet(9, np.array([1, 2])),
                  np.array([1.0, 2.0]))

@@ -6,7 +6,7 @@ from wlift.lifting import double_hankel_basis, hankel_basis
 from wlift.scores import subspace_of, weighted_leverage_scores
 from wlift.signal import SampleSet, sample_uniform_m, synthesize
 from wlift.solver import SolverConfig, relative_error
-from wlift.weights import (WeightPair, diagonal_weights, identity_weights,
+from wlift.weights import (WeightPair, identity_weights,
                            tune_diagonal_weights, two_stage_pipeline)
 
 
@@ -23,11 +23,11 @@ def test_identity_weights_shape_and_values():
 
 
 def test_diagonal_weights_embedding():
-    w = diagonal_weights([1.0, 2.0], [3.0, 4.0, 5.0])
+    w = WeightPair([1.0, 2.0], [3.0, 4.0, 5.0])
     np.testing.assert_array_equal(w.left_diag, [1, 2])
     np.testing.assert_array_equal(w.right_diag, [3, 4, 5])
     with pytest.raises(ValueError):
-        diagonal_weights([-1.0, 1.0], [1.0])
+        WeightPair([-1.0, 1.0], [1.0])
 
 
 def test_weight_pair_requires_diagonals_when_flagged():
@@ -45,11 +45,11 @@ def test_weight_pair_rejects_non_finite():
                                "right_diag"),
                               ([1, -np.inf, 1, 1], np.ones(6), "left_diag")):
         with pytest.raises(ValueError, match=name):
-            diagonal_weights(left, right)
+            WeightPair(left, right)
 
 
 def test_frobenius_normalization():
-    w = diagonal_weights([3.0, 4.0], [1.0, 1.0]).frobenius_normalized()
+    w = WeightPair([3.0, 4.0], [1.0, 1.0]).frobenius_normalized()
     assert abs(np.linalg.norm(w.left_diag) - 1.0) < 1e-12
     assert abs(np.linalg.norm(w.right_diag) - 1.0) < 1e-12
     # direction preserved
