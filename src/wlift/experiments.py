@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 from numbers import Integral, Real
 from pathlib import Path
@@ -206,7 +207,8 @@ def _cell_rate(args) -> Tuple[int, int, float]:
 def phase_transition(grid: PhaseGrid, workers: int = 1) -> SuccessSurface:
     """Mean success per (M, K) cell; deterministic for a fixed base_seed.
 
-    workers > 1 spreads the cells over that many processes.
+    workers > 1 spreads the cells over that many processes, at most one
+    per cell (a fork pool starts every worker at once).
     """
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
@@ -214,13 +216,10 @@ def phase_transition(grid: PhaseGrid, workers: int = 1) -> SuccessSurface:
              for ki in range(len(grid.sparsity_levels))
              for mi in range(len(grid.sample_counts))]
     rates = np.zeros((len(grid.sparsity_levels), len(grid.sample_counts)))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for ki, mi, rate in pool.map(_cell_rate, cells):
-                rates[ki, mi] = rate
-    else:
-        for cell in cells:
-            ki, mi, rate = _cell_rate(cell)
+    workers = min(workers, len(cells))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        for ki, mi, rate in (pool.map if pool else map)(_cell_rate, cells):
             rates[ki, mi] = rate
     return SuccessSurface(grid, rates)
 

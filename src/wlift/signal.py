@@ -61,6 +61,9 @@ class SampleSet:
     indices: np.ndarray
 
     def __post_init__(self):
+        if self.universe < 0 or self.universe % 1:
+            raise ValueError(f"universe must be a whole number, at least "
+                             f"zero, got {self.universe}")
         idx = np.asarray(self.indices)
         if idx.ndim != 1 or np.any(idx % 1):
             raise ValueError("indices must be a 1-D array of whole numbers")
@@ -69,6 +72,7 @@ class SampleSet:
             raise ValueError("indices out of range")
         if idx.size and np.any(np.diff(idx) <= 0):
             raise ValueError("indices must be strictly increasing")
+        object.__setattr__(self, "universe", int(self.universe))
         object.__setattr__(self, "indices", idx)
 
     @property

@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +278,95 @@ def test_noise_sweep_stdout(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "eta mean_lifted_error"
     assert len(lines) == 4  # three default noise levels
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+HANKEL_21 = ["--structure", "hankel", "--n", "21", "--d", "10"]
+# One small invocation per command: its flags and its --config file, if any.
+# tests/golden/<command> holds the exact files it writes; any changed byte
+# there is a change to the CLI's output that a rerun from an old sidecar
+# would not reproduce.
+GOLDEN = {
+    "synth": (["--n", "12", "--k", "2", "--seed", "3"], None),
+    "scores": (["--structure", "double-hankel", "--n", "21", "--d", "14",
+                "--k", "2", "--seed", "1"], None),
+    "complete": ([*HANKEL_21, "--k", "3", "--m", "10", "--seed", "5",
+                  "--weighting", "two_stage"], {"max_iters": 500}),
+    "tune": ([*HANKEL_21, "--k", "2", "--m", "12", "--seed", "4"], None),
+    "phase": (["--seed", "3"],
+              {"n": 21, "d": 10, "sample_counts": [9, 11],
+               "sparsity_levels": [2, 3], "trials": 3,
+               "min_separation": 0.05, "max_iters": 500}),
+    "noise-sweep": (["--structure", "double-hankel", "--n", "21", "--d", "14",
+                     "--k", "1", "--m", "15", "--trials", "2", "--seed", "1"],
+                    {"etas": [0.001, 0.01]}),
+    "validate-basis": (["--structure", "double-hankel", "--n", "21",
+                        "--d", "14"], None),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_golden_output_bytes(command, tmp_path, capsys):
+    flags, config = GOLDEN[command]
+    argv = [command, *flags]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / ("mesh.dat" if command == "phase" else "out.txt")
+    assert main([*argv, "--out", str(out)]) == 0
+    golden = GOLDEN_DIR / command
+    written = sorted(p.name for p in out_dir.iterdir())
+    assert written == sorted(p.name for p in golden.iterdir())
+    for name in written:
+        assert (out_dir / name).read_bytes() == (golden / name).read_bytes(), name
+    if command != "phase":
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == (golden / out.name).read_bytes()
+
+
+@pytest.mark.parametrize("command, key, config", [
+    ("complete", "min_separation",
+     {"structure": "hankel", "n": 21, "d": 10, "k": 1, "m": 15,
+      "min_separation": 0.3}),
+    ("noise-sweep", "weighting",
+     {"n": 21, "d": 10, "k": 1, "m": 15, "trials": 1,
+      "weighting": "two_stage"}),
+    ("synth", "m", {"n": 12, "k": 2, "m": 5}),
+    ("tune", "max_iters",
+     {"structure": "hankel", "n": 21, "d": 10, "k": 2, "m": 12,
+      "max_iters": 10}),
+    ("validate-basis", "k", {"structure": "hankel", "n": 21, "d": 10, "k": 2}),
+])
+def test_key_only_another_command_reads_is_usage_error(command, key, config,
+                                                       tmp_path, capsys):
+    # the command would ignore the key, yet record it in the sidecar
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.txt.config.json").exists()
+
+
+def test_out_in_missing_directory_is_usage_error(tmp_path, monkeypatch,
+                                                 capsys):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr("wlift.cli.phase_transition", sweep)
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"n": 21, "d": 10, "trials": 1,
+                               "sample_counts": [15], "sparsity_levels": [1]}))
+    assert main(["phase", "--config", str(cfg),
+                 "--out", str(tmp_path / "missing" / "x.dat")]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["grid.json"]
+
+
+def test_out_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    assert main(["synth", "--n", "5", "--k", "1", "--out", str(tmp_path)]) == 1
+    assert "usage error" in capsys.readouterr().err

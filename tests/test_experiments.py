@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from wlift import experiments
 from wlift.experiments import (PhaseGrid, SuccessSurface, build_basis,
                                cell_seed, emit_dat, loglog_slope, noise_sweep,
                                phase_transition, random_mixture, read_dat,
@@ -151,6 +152,32 @@ def test_phase_transition_rejects_no_workers():
     for workers in (0, -1):
         with pytest.raises(ValueError, match="worker"):
             phase_transition(grid, workers=workers)
+
+
+def test_phase_transition_sizes_pool_by_cells(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    two = PhaseGrid((10, 21), (1,), trials=1, n=21, pencil=10)
+    np.testing.assert_array_equal(phase_transition(two, workers=8).rates,
+                                  phase_transition(two).rates)
+    assert sizes == [2]
+    phase_transition(PhaseGrid((21,), (1,), trials=1, n=21, pencil=10),
+                     workers=8)
+    assert sizes == [2]
 
 
 def test_phase_transition_monotone_in_samples():

@@ -150,3 +150,12 @@ def test_mixture_text_roundtrip():
     assert back.n_samples == 6
     for (b1, z1), (b2, z2) in zip(mix.components, back.components):
         assert b1 == b2 and z1 == z2
+
+
+def test_sample_set_rejects_bad_universe():
+    # complement() would die on np.ones(11.5); a negative universe is no set
+    for universe in (10.5, -3):
+        with pytest.raises(ValueError, match="universe"):
+            SampleSet(universe, [])
+    sset = SampleSet(np.int64(10), [1, 2])
+    np.testing.assert_array_equal(sset.complement(), np.arange(3, 11))
