@@ -230,8 +230,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; map to the documented code
         return 0 if exc.code == 0 else USAGE_ERROR
     try:
-        if args.out is not None and not Path(args.out).parent.is_dir():
-            raise FileNotFoundError(f"no directory for --out {args.out}")
+        # checked before the command runs, so a bad path wastes no sweep
+        if args.out is not None:
+            if not Path(args.out).parent.is_dir():
+                raise FileNotFoundError(f"no directory for --out {args.out}")
+            if Path(args.out).is_dir():
+                raise IsADirectoryError(f"--out {args.out} is a directory")
         resolved = _resolve(args)
         text, code = args.func(resolved, args)
         if args.out is None:

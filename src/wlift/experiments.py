@@ -20,7 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .lifting import LiftingBasis, double_hankel_basis, hankel_basis, lift
-from .signal import Mixture, add_noise, sample_uniform_m, synthesize
+from .signal import (Mixture, add_noise, project, sample_uniform_m,
+                     synthesize)
 from .solver import SolverConfig, complete, relative_error
 from .weights import identity_weights, two_stage_pipeline
 
@@ -176,7 +177,7 @@ def run_trial(n: int, structure: str, pencil: int, weighting: str,
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
     y, sset = _draw(n, k, m, seed, min_separation)
-    obs = y[sset.indices - 1]
+    obs = project(y, sset)
     basis = build_basis(structure, n, pencil)
     try:
         if weighting == "two_stage":
@@ -244,7 +245,7 @@ def noise_sweep(n: int, structure: str, pencil: int, k: int, m: int,
         for i, eta in enumerate(etas):
             noisy = add_noise(y, eta, seed=seed ^ 0x5EED)
             result = complete(basis, identity_weights(basis.dims), sset,
-                              noisy[sset.indices - 1],
+                              project(noisy, sset),
                               noise_bound=eta if eta > 0 else None,
                               config=solver_config)
             totals[i] += float(np.linalg.norm(lift(basis, result.estimate) - truth))

@@ -14,7 +14,9 @@ Each basis derives (once, on first use) the flat index arrays that make
 the lift one gather and its adjoint one gather plus one `bincount`.
 `LiftOperator` is the one implementation of both; it also carries
 optional per-cell weights, which is how the solver applies diagonal
-weight pairs.
+weight pairs. A centro-Hermitian weighted lift (the double-Hankel one
+with mirror-symmetric weights) also has a real form, `RealLift`: one
+fixed unitary change of basis on each side makes the lifted matrix real.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 __all__ = [
     "LiftingBasis",
     "LiftOperator",
+    "RealLift",
     "BasisReport",
     "hankel_basis",
     "double_hankel_basis",
@@ -179,6 +182,64 @@ class LiftOperator:
         if self._split_cell is not None:
             vals = (vals.view(float) * self._split_cell).view(complex)
         return b.element_sum(vals)
+
+    def real_form(self) -> Optional[RealLift]:
+        """This lift in real coordinates, or None when it is not centro-Hermitian.
+
+        The weighted lift M is centro-Hermitian when d2 is even and every
+        grid position is a cell whose mirror (d1-1-r, d2-1-c) holds the
+        same element with the opposite conjugation and the same weight;
+        then M = [A, J conj(A) J] for its left half A (J the order
+        reversal). With U = (I + iJ)/sqrt(2) and
+        V = (1/sqrt(2)) [[I, iI], [iJ, J]], U^H M V is the real matrix
+        [Re A + J Im A, J Re A - Im A], with the singular values of M.
+        """
+        b = self.basis
+        n, (d1, d2) = b.n, b.dims
+        source = b.lift_source
+        # the flat mirror of grid position p is d1 d2 - 1 - p
+        if (d2 % 2 or np.any(source == 2 * n)
+                or np.any(source[::-1] != (source + n) % (2 * n))):
+            return None
+        w = np.ones(source.size) if self._grid_cell is None else self._grid_cell
+        if np.any(w[::-1] != w):
+            return None
+        half = source.reshape(d1, d2)[:, :d2 // 2]
+        re = 2 * (half % n)  # float offset of Re x_n in x.view(float)
+        w = w.reshape(d1, d2)[:, :d2 // 2]
+        sw = np.where(half >= n, -w, w)  # Im A = sw * Im x_n
+        flip = np.flipud
+        return RealLift(
+            np.stack((np.hstack((re, flip(re))), np.hstack((flip(re), re)) + 1)),
+            np.stack((np.hstack((w, flip(w))), np.hstack((flip(sw), -sw)))),
+            self.normal_diag)
+
+
+class RealLift:
+    """A centro-Hermitian lift x -> U^H M(x) V as a real matrix.
+
+    Each entry is coef[0] * v[source[0]] + coef[1] * v[source[1]] over the
+    interleaved (re, im) floats v of x, so forward is one gather and
+    adjoint one signed `bincount`. U and V are unitary, so the adjoint of
+    the real form is the complex lift's adjoint of U Z V^H, and
+    adjoint(forward(.)) is the same diagonal normal_diag.
+    """
+
+    def __init__(self, source: np.ndarray, coef: np.ndarray,
+                 normal_diag: np.ndarray):
+        self.source = source
+        self.coef = coef
+        self.normal_diag = normal_diag
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        v = np.ascontiguousarray(x, dtype=complex).view(float)
+        terms = self.coef * v[self.source]
+        return terms[0] + terms[1]
+
+    def adjoint(self, z: np.ndarray) -> np.ndarray:
+        """Adjoint of forward for the real inner products; z is real d1 x d2."""
+        return np.bincount(self.source.ravel(), weights=(self.coef * z).ravel(),
+                           minlength=2 * self.normal_diag.size).view(complex)
 
 
 @dataclass(frozen=True)

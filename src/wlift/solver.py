@@ -5,7 +5,10 @@ on the observed coordinates (noiseless) or inside the l2-ball around the
 noisy observations (noisy). The Z-update is singular value thresholding,
 computed from the eigendecomposition of the smaller Gram matrix; the
 g-update is a least-squares solve, coordinate-separable because the
-weights are diagonal and the lifting patterns are disjoint.
+weights are diagonal and the lifting patterns are disjoint. A
+centro-Hermitian weighted lift (double-Hankel with identity or
+mirror-symmetric weights) is solved in real coordinates
+(`LiftOperator.real_form`): the same singular values, in real arithmetic.
 """
 
 from __future__ import annotations
@@ -70,10 +73,11 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     B B^H (B = m, or m^H when m is tall), which is cheaper than an SVD
     of m: with B B^H = U diag(s^2) U^H, the result is
     U_k diag(1 - tau / s_k) U_k^H B over the pairs with s_k > tau.
+    A real m stays real, so its Gram matrix takes the real `eigh`.
     """
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     tall = m.shape[0] > m.shape[1]
     b = m.conj().T if tall else m
     w, u = np.linalg.eigh(b @ b.conj().T)
@@ -97,11 +101,13 @@ def relative_error(truth: np.ndarray, estimate: np.ndarray) -> float:
 
 
 def _norm(a: np.ndarray) -> float:
-    """np.linalg.norm of a complex array, without the wrapper's dispatch.
+    """np.linalg.norm of an array, without the wrapper's dispatch.
 
     Same arithmetic, so the same bits: sqrt(re . re + im . im).
     """
     flat = a.ravel(order="K")
+    if flat.dtype.kind != "c":
+        return math.sqrt(flat.dot(flat))
     re, im = flat.real, flat.imag
     return math.sqrt(re.dot(re) + im.dot(im))
 
@@ -148,6 +154,8 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     if peak <= 0:
         raise ValueError("weights annihilate the lift")
     op = LiftOperator(basis, cell / peak)
+    # Z and Lambda live in the lift's real coordinates when it has them
+    op = op.real_form() or op
     if np.any(op.normal_diag <= 0):
         raise ValueError("weights annihilate some coordinate of the lift")
     d1, d2 = basis.dims
@@ -159,14 +167,14 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     rho = config.penalty
     g = np.zeros(n, dtype=complex)
     g[obs0] = observed
-    z = np.zeros((d1, d2), dtype=complex)
-    lam = np.zeros((d1, d2), dtype=complex)
+    bg = op.forward(g)
+    z = np.zeros_like(bg)
+    lam = np.zeros_like(bg)
     abs_eps = config.abs_tol * np.sqrt(d1 * d2)
     primal = dual = np.inf
     converged = False
     it = 0
 
-    bg = op.forward(g)
     for it in range(1, config.max_iters + 1):
         scaled_lam = lam / rho
         z_new = svt(bg + scaled_lam, 1.0 / rho)

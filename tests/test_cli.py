@@ -352,8 +352,8 @@ def test_key_only_another_command_reads_is_usage_error(command, key, config,
     assert not (tmp_path / "out.txt.config.json").exists()
 
 
-def test_out_in_missing_directory_is_usage_error(tmp_path, monkeypatch,
-                                                 capsys):
+def _phase_without_sweep(tmp_path, monkeypatch):
+    """A 1-cell phase config; the sweep must not run."""
     def sweep(*args, **kwargs):
         raise AssertionError("the sweep ran before --out was checked")
 
@@ -361,10 +361,28 @@ def test_out_in_missing_directory_is_usage_error(tmp_path, monkeypatch,
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"n": 21, "d": 10, "trials": 1,
                                "sample_counts": [15], "sparsity_levels": [1]}))
+    return cfg
+
+
+def test_out_in_missing_directory_is_usage_error(tmp_path, monkeypatch,
+                                                 capsys):
+    cfg = _phase_without_sweep(tmp_path, monkeypatch)
     assert main(["phase", "--config", str(cfg),
                  "--out", str(tmp_path / "missing" / "x.dat")]) == 1
     assert "usage error" in capsys.readouterr().err
     assert sorted(f.name for f in tmp_path.iterdir()) == ["grid.json"]
+
+
+def test_phase_out_that_is_a_directory_fails_before_the_sweep(
+        tmp_path, monkeypatch, capsys):
+    cfg = _phase_without_sweep(tmp_path, monkeypatch)
+    target = tmp_path / "existing"
+    target.mkdir()
+    assert main(["phase", "--config", str(cfg), "--out", str(target)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["existing",
+                                                          "grid.json"]
+    assert not any(target.iterdir())
 
 
 def test_out_that_is_a_directory_is_usage_error(tmp_path, capsys):

@@ -322,3 +322,71 @@ def test_lift_operator_matches_scatter_reference(make):
             assert np.all(op.forward(x) == _reference_forward(basis, cell, x))
             assert np.all(op.adjoint(m)
                           == _reference_adjoint(basis, cell, m))
+
+
+REAL_FORM_CASES = [(59, 40), (21, 14), (21, 7), (10, 10)]
+
+
+def _real_form_op(n, d, weighting):
+    """A double-Hankel operator with unit or mirror-symmetric cell weights."""
+    basis = double_hankel_basis(n, d)
+    if weighting == "unit":
+        return LiftOperator(basis)
+    rng = np.random.default_rng(15)
+    wl, wr = (w + w[::-1] for w in (rng.uniform(0.1, 1.0, basis.dims[0]),
+                                    rng.uniform(0.1, 1.0, basis.dims[1])))
+    return LiftOperator(basis, wl[basis.rows] * wr[basis.cols])
+
+
+@pytest.mark.parametrize("weighting", ["unit", "mirror"])
+@pytest.mark.parametrize("n,d", REAL_FORM_CASES)
+def test_real_form_is_the_unitary_change_of_basis(n, d, weighting):
+    # R = U^H M V with U = (I + iJ)/sqrt(2), V = [[I, iI], [iJ, J]]/sqrt(2)
+    op = _real_form_op(n, d, weighting)
+    real = op.real_form()
+    d1, d2 = op.basis.dims
+    j1, jq, iq = np.eye(d1)[::-1], np.eye(d2 // 2)[::-1], np.eye(d2 // 2)
+    u = (np.eye(d1) + 1j * j1) / np.sqrt(2)
+    v = np.block([[iq, 1j * iq], [1j * jq, jq]]) / np.sqrt(2)
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        x = random_complex(rng, n)
+        m, r = op.forward(x), real.forward(x)
+        assert r.dtype == np.float64 and r.shape == (d1, d2)
+        np.testing.assert_allclose(r, u.conj().T @ m @ v, rtol=0,
+                                   atol=1e-14 * np.abs(m).max())
+        s = np.linalg.svd(m, compute_uv=False)
+        np.testing.assert_allclose(np.linalg.svd(r, compute_uv=False), s,
+                                   rtol=0, atol=1e-13 * s[0])
+
+
+@pytest.mark.parametrize("weighting", ["unit", "mirror"])
+@pytest.mark.parametrize("n,d", REAL_FORM_CASES)
+def test_real_form_adjoint_and_normal_diag(n, d, weighting):
+    op = _real_form_op(n, d, weighting)
+    real = op.real_form()
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        x = random_complex(rng, n)
+        z = rng.normal(size=op.basis.dims)
+        lhs = np.sum(real.forward(x) * z)
+        rhs = np.vdot(x, real.adjoint(z)).real
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+    for k in range(n):
+        for unit in (1.0, 1j):
+            e = np.zeros(n, dtype=complex)
+            e[k] = unit
+            np.testing.assert_allclose(real.adjoint(real.forward(e)),
+                                       op.normal_diag[k] * e, rtol=0,
+                                       atol=1e-14 * op.normal_diag[k])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LiftOperator(hankel_basis(21, 10)),
+    lambda: LiftOperator(_partial_cover()),
+    # left weights that are not mirror-symmetric
+    lambda: LiftOperator(double_hankel_basis(21, 14),
+                         (1.0 + np.arange(14))[double_hankel_basis(21, 14).rows]),
+], ids=["hankel", "partial-cover", "asymmetric-weights"])
+def test_real_form_needs_a_centro_hermitian_lift(make):
+    assert make().real_form() is None

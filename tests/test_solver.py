@@ -65,8 +65,11 @@ def test_svt_matches_svd_reference(shape):
          "real": lambda: rng.normal(size=(8, 6))}[shape]()
     s = np.linalg.svd(m, compute_uv=False)
     for tau in (0.0, s[s.size // 2], 1.5 * s[0]):
-        np.testing.assert_allclose(svt(m, tau), _svd_svt(m, tau), rtol=0,
+        out = svt(m, tau)
+        np.testing.assert_allclose(out, _svd_svt(m, tau), rtol=0,
                                    atol=1e-9 * s[0])
+        # a real input takes the real eigh and stays real
+        assert out.dtype == (np.float64 if shape == "real" else np.complex128)
 
 
 def test_complete_calls_module_svt_once_per_iteration(monkeypatch):
@@ -156,15 +159,21 @@ def test_complete_zero_noise_bound_matches_noiseless():
 
 
 def test_complete_objective_is_weighted_nuclear_norm():
-    basis = hankel_basis(21, 10)
     y = synthesize(random_mixture(21, 2, np.random.default_rng(7)))
     sset = sample_uniform_m(21, 15, seed=5)
-    weights = WeightPair(0.5 + np.arange(10) / 10.0, np.ones(12) * 2.0)
-    result = complete(basis, weights, sset, y[sset.indices - 1])
-    lifted = (weights.left_diag[:, None] * lift(basis, result.estimate)
-              * weights.right_diag[None, :])
-    nuc = np.linalg.svd(lifted, compute_uv=False).sum()
-    np.testing.assert_allclose(result.objective, nuc, rtol=1e-9)
+    cases = [
+        (hankel_basis(21, 10),
+         WeightPair(0.5 + np.arange(10) / 10.0, np.ones(12) * 2.0)),
+        # mirror-symmetric weights, so the solve runs in real coordinates
+        (double_hankel_basis(21, 7),
+         WeightPair(0.5 + np.abs(np.arange(7) - 3) / 10.0, np.ones(30) * 2.0)),
+    ]
+    for basis, weights in cases:
+        result = complete(basis, weights, sset, y[sset.indices - 1])
+        lifted = (weights.left_diag[:, None] * lift(basis, result.estimate)
+                  * weights.right_diag[None, :])
+        nuc = np.linalg.svd(lifted, compute_uv=False).sum()
+        np.testing.assert_allclose(result.objective, nuc, rtol=1e-9)
 
 
 def test_complete_double_hankel_structure():
@@ -174,6 +183,44 @@ def test_complete_double_hankel_structure():
     result = complete(basis, identity_weights(basis.dims), sset,
                       y[sset.indices - 1])
     assert relative_error(y, result.estimate) <= 1e-3
+
+
+def _mirror_weights(basis):
+    d1, d2 = basis.dims
+    wl, wr = 1.0 + np.arange(d1) / d1, 1.0 + np.arange(d2) / d2
+    return WeightPair(wl + wl[::-1], wr + wr[::-1])
+
+
+@pytest.mark.parametrize("weighting", ["identity", "mirror"])
+def test_complete_double_hankel_runs_real_and_matches_complex(weighting,
+                                                              monkeypatch):
+    # the centro-Hermitian lift is solved in real coordinates; the complex
+    # iteration on the same input reaches the same estimate
+    import wlift.solver
+    from wlift.lifting import LiftOperator
+    basis = double_hankel_basis(21, 14)
+    weights = (identity_weights(basis.dims) if weighting == "identity"
+               else _mirror_weights(basis))
+    y = synthesize(random_mixture(21, 2, np.random.default_rng(9)))
+    sset = sample_uniform_m(21, 15, seed=7)
+    dtypes = []
+    original = wlift.solver.svt
+
+    def recording(m, tau):
+        dtypes.append(m.dtype)
+        return original(m, tau)
+
+    monkeypatch.setattr(wlift.solver, "svt", recording)
+    real = complete(basis, weights, sset, y[sset.indices - 1])
+    assert set(dtypes) == {np.dtype(float)}
+    monkeypatch.setattr(LiftOperator, "real_form", lambda self: None)
+    dtypes.clear()
+    plain = complete(basis, weights, sset, y[sset.indices - 1])
+    assert set(dtypes) == {np.dtype(complex)}
+    assert real.converged and plain.converged
+    assert abs(real.iterations - plain.iterations) <= 1
+    assert relative_error(plain.estimate, real.estimate) <= 1e-9
+    np.testing.assert_allclose(real.objective, plain.objective, rtol=1e-9)
 
 
 def test_complete_error_conditions():
