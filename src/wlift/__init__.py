@@ -3,11 +3,10 @@
 from .lifting import (LiftingBasis, adjoint, double_hankel_basis, hankel_basis,
                       lift, validate_basis)
 from .scores import (ScoreVector, SubspacePair, a_norm_2, a_norm_inf,
-                     diag_weight_bound, incoherence_check, leverage_scores,
-                     lifting_coefficient, probability_floor, subspace_of,
-                     weighted_leverage_scores)
-from .signal import (Mixture, SampleSet, add_noise, project, sample_bernoulli,
-                     sample_uniform_m, synthesize)
+                     leverage_scores, lifting_coefficient, probability_floor,
+                     subspace_of, weighted_leverage_scores)
+from .signal import (Mixture, SampleSet, add_noise, project, sample_uniform_m,
+                     synthesize)
 from .solver import CompletionResult, SolverConfig, complete, relative_error, svt
 from .weights import (WeightPair, identity_weights, tune_diagonal_weights,
                       two_stage_pipeline)

@@ -250,7 +250,10 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return NUMERICAL_ERROR
-    except (KeyError, OSError, ValueError) as exc:
+    except KeyError as exc:  # a command read a key nobody set
+        sys.stderr.write(f"usage error: missing config key {exc}\n")
+        return USAGE_ERROR
+    except (OSError, ValueError) as exc:
         # a json.JSONDecodeError is a ValueError
         sys.stderr.write(f"usage error: {exc}\n")
         return USAGE_ERROR

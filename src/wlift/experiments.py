@@ -35,7 +35,6 @@ __all__ = [
     "phase_transition",
     "noise_sweep",
     "emit_dat",
-    "read_dat",
 ]
 
 STRUCTURES = ("hankel", "double-hankel")
@@ -236,6 +235,8 @@ def noise_sweep(n: int, structure: str, pencil: int, k: int, m: int,
     """
     if trials < 1:
         raise ValueError("need at least one trial per noise level")
+    if len(etas) == 0:
+        raise ValueError("need at least one noise level")
     basis = build_basis(structure, n, pencil)
     totals = [0.0] * len(etas)
     for t in range(trials):
@@ -293,17 +294,3 @@ def emit_dat(surface: SuccessSurface, path) -> None:
     except OSError as exc:
         raise OSError(f"failed writing surface to {path}: {exc}") from exc
 
-
-def read_dat(path) -> Tuple[List[int], List[int], np.ndarray]:
-    """Parse an emitted .dat body back into (M values, K values, rates)."""
-    lines = Path(path).read_text().strip().splitlines()
-    if lines[0].split() != ["M", "K", "C"]:
-        raise ValueError(f"unexpected header in {path}")
-    ms, ks, vals = [], [], []
-    for ln in lines[1:]:
-        m, k, c = ln.split()
-        ms.append(int(m)); ks.append(int(k)); vals.append(float(c))
-    m_list = sorted(set(ms), key=ms.index)
-    k_list = sorted(set(ks), key=ks.index)
-    rates = np.array(vals).reshape(len(k_list), len(m_list))
-    return m_list, k_list, rates

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Optional, Tuple
 
 import numpy as np
@@ -289,6 +290,8 @@ def make_basis(n: int, dims: Tuple[int, int], rows: np.ndarray,
 
 def _hankel_grid(n: int, pencil: int) -> Tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of the d x (N - d + 1) grid's cells, row-major."""
+    if not (isinstance(n, Integral) and isinstance(pencil, Integral)):
+        raise ValueError(f"N and pencil must be integers, got {n!r}, {pencil!r}")
     if not 1 <= pencil <= n:
         raise ValueError(f"pencil must lie in [1, N], got {pencil} for N={n}")
     return np.divmod(np.arange(pencil * (n - pencil + 1)), n - pencil + 1)

@@ -2,15 +2,15 @@
 
 Scores measure how much each vector coordinate overlaps the row/column
 space of the lifted signal; they drive the sampling-probability floor and
-the weight-tuning objective. The A-norms and the incoherence check are
-diagnostic quantities used by the recovery guarantees.
+the weight-tuning objective. The A-norms are diagnostic quantities used
+by the recovery guarantees.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,12 +28,8 @@ __all__ = [
     "weighted_leverage_scores",
     "lifting_coefficient",
     "probability_floor",
-    "incoherence_check",
-    "IncoherenceResult",
     "a_norm_inf",
     "a_norm_2",
-    "diag_weight_bound",
-    "corollary_beta",
     "scores_to_text",
 ]
 
@@ -128,13 +124,6 @@ def _side_norms(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
     return _right_product_norms(basis, proj)
 
 
-def _oblique_norms(basis: LiftingBasis, weights: WeightPair,
-                   subspace: SubspacePair):
-    """Left/right per-element norms under the oblique projections."""
-    return (_side_norms(basis, weights.left_diag, subspace.left, "left"),
-            _side_norms(basis, weights.right_diag, subspace.right, "right"))
-
-
 def weighted_leverage_scores(basis: LiftingBasis, weights: WeightPair,
                              subspace: SubspacePair) -> ScoreVector:
     """Scores through the oblique projections induced by (W_L, W_R).
@@ -142,7 +131,8 @@ def weighted_leverage_scores(basis: LiftingBasis, weights: WeightPair,
     P_U(Y) = W_L^H U (U^H W_L W_L^H U)^-1 U^H W_L Y and its right-hand
     mirror; the K x K Gram inverses are formed once and shared across n.
     """
-    left, right = _oblique_norms(basis, weights, subspace)
+    left = _side_norms(basis, weights.left_diag, subspace.left, "left")
+    right = _side_norms(basis, weights.right_diag, subspace.right, "right")
     vals = basis.n / subspace.rank * np.maximum(left, right)
     return ScoreVector(vals, subspace.rank)
 
@@ -176,21 +166,6 @@ def probability_floor(scores: ScoreVector, r_l: float, n: int,
     return np.minimum(1.0, inner / n)
 
 
-class IncoherenceResult(NamedTuple):
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-def incoherence_check(basis: LiftingBasis, weights: WeightPair,
-                      subspace: SubspacePair) -> IncoherenceResult:
-    """1/(8 sqrt(log N)) <= min_i omega_i * min(||P_U(A_i)||^2, ||P_V(A_i)||^2)."""
-    left, right = _oblique_norms(basis, weights, subspace)
-    rhs = float(np.min(basis.support_counts * np.minimum(left, right)))
-    lhs = 1.0 / (8.0 * math.sqrt(math.log(basis.n)))
-    return IncoherenceResult(lhs, rhs, lhs <= rhs)
-
-
 def _basis_inner(basis: LiftingBasis, m: np.ndarray) -> np.ndarray:
     """<A_n, M> for all n."""
     return (basis.element_sum(m[basis.rows, basis.cols])
@@ -216,38 +191,6 @@ def a_norm_2(basis: LiftingBasis, scores: ScoreVector, m: np.ndarray) -> float:
     inner = _basis_inner(basis, np.asarray(m, dtype=complex))
     denom = scores.rank_used * scores.values * basis.support_counts
     return float(np.sqrt(np.sum(basis.n * np.abs(inner) ** 2 / denom)))
-
-
-def corollary_beta(subspace: SubspacePair, n: int) -> float:
-    """Beta for the diagonal-weight score bound, coherence reading.
-
-    Uses the max squared row norm of U (and of V) as the per-row energy
-    bound, chosen so that floor(N / (beta K)) equals the partial-sum length
-    the underlying linear-programming argument actually extracts. The
-    spectral-norm reading of the same symbol would force the count to 1.
-    """
-    mr_u = float(np.max(np.sum(np.abs(subspace.left) ** 2, axis=1)))
-    mr_v = float(np.max(np.sum(np.abs(subspace.right) ** 2, axis=1)))
-    return n / subspace.rank * max(mr_u, mr_v)
-
-
-def diag_weight_bound(basis: LiftingBasis, weights: WeightPair, beta: float,
-                      rank: int) -> np.ndarray:
-    """Upper bound on mu_n K / N for diagonal weights.
-
-    bound_n = max( ||W_L A_n||_F^2 / S_L , ||A_n W_R^T||_F^2 / S_R ) where
-    S_L, S_R sum the floor(N / (beta K)) smallest squared diagonal weights.
-    """
-    count = int(basis.n // (beta * rank))
-    if count < 1:
-        raise ValueError("empty partial sum: floor(N / (beta K)) is zero")
-    wl_sq = weights.left_diag ** 2
-    wr_sq = weights.right_diag ** 2
-    s_l = np.sort(wl_sq)[:count].sum()
-    s_r = np.sort(wr_sq)[:count].sum()
-    left = basis.element_sum(wl_sq[basis.rows]) / basis.support_counts
-    right = basis.element_sum(wr_sq[basis.cols]) / basis.support_counts
-    return np.maximum(left / s_l, right / s_r)
 
 
 def scores_to_text(scores: ScoreVector) -> str:

@@ -18,11 +18,9 @@ __all__ = [
     "SampleSet",
     "synthesize",
     "add_noise",
-    "sample_bernoulli",
     "sample_uniform_m",
     "project",
     "mixture_to_text",
-    "mixture_from_text",
 ]
 
 
@@ -113,16 +111,6 @@ def add_noise(y: np.ndarray, amplitude_bound: float, seed: int = 0) -> np.ndarra
     return y + r * np.exp(1j * phase)
 
 
-def sample_bernoulli(probabilities: np.ndarray, seed: int = 0) -> SampleSet:
-    """Include each index n independently with probability p_n."""
-    p = np.asarray(probabilities, dtype=float)
-    if np.any(p <= 0) or np.any(p > 1):
-        raise ValueError("inclusion probabilities must lie in (0, 1]")
-    rng = np.random.default_rng(seed)
-    keep = rng.random(p.size) < p
-    return SampleSet(p.size, np.flatnonzero(keep) + 1)
-
-
 def sample_uniform_m(n: int, m: int, seed: int = 0) -> SampleSet:
     """Draw a uniformly random M-subset of {1..N}."""
     if not 1 <= m <= n:
@@ -148,12 +136,3 @@ def mixture_to_text(mixture: Mixture) -> str:
         out.write(f"{b.real!r} {b.imag!r} {z.real!r} {z.imag!r}\n")
     return out.getvalue()
 
-
-def mixture_from_text(text: str) -> Mixture:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    n = int(lines[0])
-    comps = []
-    for ln in lines[1:]:
-        br, bi, zr, zi = (float(t) for t in ln.split())
-        comps.append((complex(br, bi), complex(zr, zi)))
-    return Mixture(n, comps)

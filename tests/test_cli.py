@@ -190,13 +190,16 @@ def test_phase_without_workers_is_usage_error(workers, tmp_path, capsys):
                "sparsity_levels": [1], "trials": 1, "min_separation": "x"}),
     ("complete", {"structure": "hankel", "n": 21, "d": 10, "k": 1, "m": 15,
                   "penalty": True}),
+    # no noise level at all would print only the header row
+    ("noise-sweep", {"n": 21, "d": 10, "k": 1, "m": 15, "trials": 1,
+                     "etas": []}),
 ], ids=["phase-nan-penalty", "complete-fractional-max-iters",
         "phase-fractional-trials", "noise-sweep-zero-trials",
         "noise-sweep-fractional-trials", "noise-sweep-scalar-etas",
         "complete-fractional-m", "phase-scalar-sample-counts",
         "synth-string-n", "complete-unknown-weighting",
         "complete-list-config", "phase-string-min-separation",
-        "complete-bool-penalty"])
+        "complete-bool-penalty", "noise-sweep-empty-etas"])
 def test_non_finite_or_fractional_config_is_usage_error(command, config,
                                                          tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -205,6 +208,12 @@ def test_non_finite_or_fractional_config_is_usage_error(command, config,
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_missing_required_key_is_named(capsys):
+    assert main(["complete", "--n", "21", "--d", "10", "--k", "2",
+                 "--m", "30"]) == 1
+    assert "missing config key 'structure'" in capsys.readouterr().err
 
 
 # a value for every flag that sets a config key

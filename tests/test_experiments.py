@@ -6,8 +6,7 @@ import pytest
 from wlift import experiments
 from wlift.experiments import (PhaseGrid, SuccessSurface, build_basis,
                                cell_seed, emit_dat, loglog_slope, noise_sweep,
-                               phase_transition, random_mixture, read_dat,
-                               run_trial)
+                               phase_transition, random_mixture, run_trial)
 from wlift.solver import SolverConfig
 
 
@@ -194,14 +193,14 @@ def test_emit_dat_round_trip(tmp_path):
     surface = SuccessSurface(grid, rates)
     out = tmp_path / "mesh.dat"
     emit_dat(surface, out)
-    ms, ks, back = read_dat(out)
-    assert ms == [20, 30, 40]
-    assert ks == [1, 2]
-    np.testing.assert_allclose(back, rates, atol=1e-6)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "M K C"
-    assert lines[1] == "20 1 0.000000"
-    assert lines[4] == "20 2 0.250000"
+    # header, then one "M K rate" row per cell, K-major
+    assert out.read_text() == ("M K C\n"
+                               "20 1 0.000000\n"
+                               "30 1 0.500000\n"
+                               "40 1 1.000000\n"
+                               "20 2 0.250000\n"
+                               "30 2 0.750000\n"
+                               "40 2 1.000000\n")
     meta = json.loads(out.with_suffix(".dat.meta.json").read_text())
     assert meta["sample_counts"] == [20, 30, 40]
     assert meta["trials"] == 1
@@ -212,13 +211,6 @@ def test_emit_dat_unwritable_path(tmp_path):
     surface = SuccessSurface(grid, np.array([[1.0]]))
     with pytest.raises(OSError):
         emit_dat(surface, tmp_path / "missing_dir" / "mesh.dat")
-
-
-def test_read_dat_rejects_bad_header(tmp_path):
-    bad = tmp_path / "bad.dat"
-    bad.write_text("X Y Z\n1 2 3\n")
-    with pytest.raises(ValueError):
-        read_dat(bad)
 
 
 def test_loglog_slope_exact_power_law():

@@ -40,6 +40,12 @@ def test_hankel_rejects_bad_pencil():
         hankel_basis(5, 0)
     with pytest.raises(ValueError):
         hankel_basis(5, 6)
+    # a float size would build float dims, or a basis with empty elements
+    with pytest.raises(ValueError, match="integers"):
+        hankel_basis(21, np.float64(10.0))
+    with pytest.raises(ValueError, match="integers"):
+        hankel_basis(59, 2.5)
+    assert hankel_basis(np.int64(21), np.int64(10)).dims == (10, 12)
 
 
 def test_hankel_lift_is_antidiagonal_matrix():

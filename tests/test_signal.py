@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from wlift.signal import (Mixture, SampleSet, add_noise,
-                          mixture_from_text, mixture_to_text, project,
-                          sample_bernoulli, sample_uniform_m, synthesize)
+from wlift.signal import (Mixture, SampleSet, add_noise, project,
+                          sample_uniform_m, synthesize)
 
 
 def test_synthesize_constant():
@@ -76,28 +75,6 @@ def test_add_noise_feasibility_budget():
     assert np.linalg.norm(project(e, sset)) <= np.sqrt(20) * 0.05
 
 
-def test_bernoulli_all_ones():
-    sset = sample_bernoulli(np.ones(7), seed=0)
-    np.testing.assert_array_equal(sset.indices, np.arange(1, 8))
-
-
-def test_bernoulli_rejects_bad_probabilities():
-    with pytest.raises(ValueError):
-        sample_bernoulli(np.zeros(4), seed=0)
-    with pytest.raises(ValueError):
-        sample_bernoulli(np.full(4, 1.5), seed=0)
-
-
-def test_bernoulli_concentration():
-    # binomial concentration at p = 0.5, N = 1e4: |Omega|/N within 2 points
-    hits = 0
-    for seed in range(50):
-        sset = sample_bernoulli(np.full(10_000, 0.5), seed=seed)
-        frac = sset.size / 10_000
-        hits += 0.48 <= frac <= 0.52
-    assert hits >= 50 * 0.99
-
-
 def test_uniform_m_full_and_cardinality():
     np.testing.assert_array_equal(sample_uniform_m(5, 5, seed=0).indices,
                                   np.arange(1, 6))
@@ -142,14 +119,6 @@ def test_sample_set_invariants():
     with pytest.raises(ValueError):  # not truncated to [1, 2]
         SampleSet(10, [1.5, 2.7])
     np.testing.assert_array_equal(SampleSet(10, [1.0, 3.0]).indices, [1, 3])
-
-
-def test_mixture_text_roundtrip():
-    mix = Mixture(6, [(1 + 2j, np.exp(0.4j)), (-0.5j, np.exp(1.9j))])
-    back = mixture_from_text(mixture_to_text(mix))
-    assert back.n_samples == 6
-    for (b1, z1), (b2, z2) in zip(mix.components, back.components):
-        assert b1 == b2 and z1 == z2
 
 
 def test_sample_set_rejects_bad_universe():
