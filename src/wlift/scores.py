@@ -103,13 +103,10 @@ def leverage_scores(basis: LiftingBasis, subspace: SubspacePair) -> ScoreVector:
     return ScoreVector(vals, subspace.rank)
 
 
-def _side_norms(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
-               side: str) -> np.ndarray:
-    """Per-element squared norms of A_n under one side's oblique projection.
+def _oblique_projector(w: np.ndarray, q: np.ndarray, side: str) -> np.ndarray:
+    """P = W^H Q (Q^H W W^H Q)^-1 Q^H W for the real weight diagonal w.
 
-    P = W^H Q (Q^H W W^H Q)^-1 Q^H W, with Q = U for side "left" (returns
-    ||P A_n||_F^2) and Q = V for side "right" (returns ||A_n P||_F^2).
-    w is the real weight diagonal, so W^H Q is a row scaling of Q. Raises
+    W^H Q is a row scaling of Q, and P is an orthogonal projector. Raises
     SingularWeightsError when the K x K Gram matrix is numerically singular.
     """
     wq = w[:, None] * q
@@ -118,10 +115,24 @@ def _side_norms(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
     if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
         raise SingularWeightsError(
             f"{side} weight Gram matrix is ill-conditioned (cond={cond:.3e})")
-    proj = wq @ np.linalg.solve(gram, wq.conj().T)
+    return wq @ np.linalg.solve(gram, wq.conj().T)
+
+
+def _projector_norms(basis: LiftingBasis, proj: np.ndarray,
+                     side: str) -> np.ndarray:
+    """||P A_n||_F^2 per element for side "left", ||A_n P||_F^2 for "right"."""
     if side == "left":
         return _left_product_norms(basis, proj)
     return _right_product_norms(basis, proj)
+
+
+def _side_norms(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
+               side: str) -> np.ndarray:
+    """Per-element squared norms of A_n under one side's oblique projection.
+
+    Q = U for side "left" and Q = V for side "right".
+    """
+    return _projector_norms(basis, _oblique_projector(w, q, side), side)
 
 
 def weighted_leverage_scores(basis: LiftingBasis, weights: WeightPair,

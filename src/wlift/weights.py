@@ -14,7 +14,8 @@ from typing import Tuple
 import numpy as np
 
 from .lifting import LiftingBasis
-from .scores import SingularWeightsError, _side_norms, subspace_of
+from .scores import (SingularWeightsError, _oblique_projector,
+                     _projector_norms, subspace_of)
 from .signal import SampleSet
 from .solver import SolverConfig, complete
 
@@ -71,6 +72,8 @@ def identity_weights(dims: Tuple[int, int]) -> WeightPair:
 TUNE_SWEEPS = 4             # coordinate-descent sweeps
 TUNE_REL_TOL = 1e-6         # stop after a sweep with a smaller relative gain
 STEP_FACTORS = (0.5, 2.0)
+SCREEN_REL_TOL = 1e-9       # re-solve steps scored this close to improving
+SCREEN_SPAN = 8             # steps scored per closed-form pass, at first
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,57 @@ class TuneResult:
     fell_back: bool = False     # set when tuning hit singular weights
 
 
+def _side_projector(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
+                    side: str):
+    """(P, per-element norms) of one side at weights w; one Gram solve."""
+    proj = _oblique_projector(w, q, side)
+    return proj, _projector_norms(basis, proj, side)
+
+
+def _pair_map(basis: LiftingBasis, side: str, unobserved: np.ndarray):
+    """(a, b, m): the unobserved side norms are Re(P[a, b]) @ m.
+
+    P is an orthogonal projector, so ||P A_n||_F^2 sums diag(P) over the
+    rows of element n's cells and ||A_n P||_F^2 sums P[c, c'] over its
+    `row_pairs`, both divided by omega_n. (a, b) lists those entries once
+    each; m[p, j] weighs entry p into the j-th unobserved element.
+    """
+    if side == "left":
+        a, b, element = basis.rows, basis.rows, basis.element
+    else:
+        a, b, element = basis.row_pairs
+    d = basis.dims[0 if side == "left" else 1]
+    column = np.full(basis.n, -1)
+    column[unobserved - 1] = np.arange(unobserved.size)
+    keep = column[element] >= 0
+    keys, entry = np.unique(a[keep] * d + b[keep], return_inverse=True)
+    m = np.zeros((keys.size, unobserved.size))
+    np.add.at(m, (entry, column[element[keep]]),
+              1.0 / basis.support_counts[element[keep]])
+    return keys // d, keys % d, m
+
+
+def _stepped_norms(proj: np.ndarray, idx: np.ndarray, fac: np.ndarray,
+                   pairs) -> np.ndarray:
+    """Unobserved side norms after w[idx[j]] *= fac[j], one row per j.
+
+    With H = Q (Q^H W^2 Q)^-1 Q^H, so that P = W H W, a step is a
+    rank-one Sherman-Morrison update of H. In terms of P it reads
+    P'[a, b] = s_a s_b (P[a, b] - g P[a, i] P[i, b] / (1 + g P[i, i])),
+    with g = fac^2 - 1 and s = fac at i, 1 elsewhere. The denominator is
+    at least 1/4, as 0 <= P[i, i] <= 1.
+    """
+    a, b, m = pairs
+    fac = fac[:, None]
+    g = fac * fac - 1.0
+    rows = proj[idx]
+    shrink = g / (1.0 + g * proj[idx, idx].real[:, None])
+    p = proj[a, b].real - shrink * (rows[:, a].conj() * rows[:, b]).real
+    p *= (np.where(a == idx[:, None], fac, 1.0)
+          * np.where(b == idx[:, None], fac, 1.0))
+    return p @ m
+
+
 def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
                           pilot_subspace) -> TuneResult:
     """Coordinate descent on the unobserved weighted-score sum.
@@ -89,24 +143,36 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
     Starts from identity, steps one diagonal entry at a time by x0.5 then
     x2, and keeps strict improvements. The x2 after a kept x0.5 restores
     a value that already lost, so an entry stays in [2^-TUNE_SWEEPS,
-    2^TUNE_SWEEPS]. The pilot subspace stays fixed throughout;
-    only the oblique projections move with the weights. A step on the
-    left diagonal moves only the left projection and a step on the right
-    only the right one, so each step recomputes the per-element norms of
-    the side it moved. Returns identity weights when nothing improves
-    (including the fully observed case, where the objective is an empty
-    sum).
+    2^TUNE_SWEEPS]. The pilot subspace stays fixed throughout; only the
+    oblique projections move with the weights, and a step on one side
+    moves only that side's projection.
+
+    Each side keeps its projector P for the kept weights, and vectorised
+    passes score the side's next steps from it in closed form (a rank-one
+    update, see `_stepped_norms`): SCREEN_SPAN steps, then twice as many
+    after each pass that keeps none. Only a step that the closed form puts
+    within SCREEN_REL_TOL of an improvement is re-solved, with the Gram
+    conditioning check and the exact per-element norms, and that exact
+    objective decides whether the step is kept. So the kept steps, sweeps
+    and objective are those of a loop that re-solves every step, at about
+    one Gram solve per kept step. Returns identity weights when nothing
+    improves (including the fully observed case, where the objective is
+    an empty sum). Raises ValueError for a pilot whose dimensions do not
+    match the basis or whose rank is 0.
     """
     d1, d2 = basis.dims
+    u, v = pilot_subspace.left, pilot_subspace.right
+    if u.ndim != 2 or v.ndim != 2 or u.shape[0] != d1 or v.shape[0] != d2:
+        raise ValueError("pilot subspace dimensions do not match the basis")
+    if min(pilot_subspace.rank, u.shape[1], v.shape[1]) < 1:
+        raise ValueError("pilot subspace has rank 0")
     unobserved = sample_set.complement()
     identity = identity_weights((d1, d2)).frobenius_normalized()
     if unobserved.size == 0:
         return TuneResult(identity, 0.0, 0.0, 0)
 
-    wl = np.ones(d1)
-    wr = np.ones(d2)
-    sides = ((wl, pilot_subspace.left, "left"),
-             (wr, pilot_subspace.right, "right"))
+    wl, wr = np.ones(d1), np.ones(d2)
+    sides = ((wl, u, "left"), (wr, v, "right"))
     scale = basis.n / pilot_subspace.rank
 
     def objective(left, right) -> float:
@@ -114,32 +180,43 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
         return float((scale * np.maximum(left, right))[unobserved - 1].sum())
 
     try:
-        norms = [_side_norms(basis, w, q, name) for w, q, name in sides]
+        kept = [_side_projector(basis, w, q, name) for w, q, name in sides]
     except SingularWeightsError:
         return TuneResult(identity, float("nan"), float("nan"), 0,
                           fell_back=True)
-    baseline = objective(*norms)
+    pairs = [_pair_map(basis, name, unobserved) for _, _, name in sides]
+    factors = np.array(STEP_FACTORS)
+    baseline = best = objective(kept[0][1], kept[1][1])
 
-    best = baseline
     for sweeps in range(1, TUNE_SWEEPS + 1):
         before = best
         for side, (w, q, name) in enumerate(sides):
-            for i in range(w.size):
-                kept = w[i]
-                for fac in STEP_FACTORS:
-                    trial = kept * fac
-                    w[i] = trial
+            other = kept[1 - side][1]
+            # step k multiplies w[k // 2] by STEP_FACTORS[k % 2]; score
+            # the next `span` steps, twice as many after each miss
+            step, span = 0, SCREEN_SPAN
+            while step < 2 * w.size:
+                steps = np.arange(step, min(step + span, 2 * w.size))
+                moved = _stepped_norms(kept[side][0], steps // 2,
+                                       factors[steps % 2], pairs[side])
+                screen = (scale * np.maximum(moved, other[unobserved - 1])
+                          ).sum(axis=1)
+                near = screen < best * (1.0 + SCREEN_REL_TOL)
+                for k in steps[near]:
+                    i, old = k // 2, w[k // 2]
+                    w[i] = old * STEP_FACTORS[k % 2]
                     try:
-                        moved = _side_norms(basis, w, q, name)
-                        val = objective(moved, norms[1 - side])
+                        trial = _side_projector(basis, w, q, name)
+                        val = objective(trial[1], other)
                     except SingularWeightsError:
                         val = np.inf
                     if val < best:
-                        best = val
-                        kept = trial
-                        norms[side] = moved
-                    else:
-                        w[i] = kept
+                        best, kept[side] = val, trial
+                        step, span = k + 1, SCREEN_SPAN
+                        break
+                    w[i] = old
+                else:
+                    step, span = steps[-1] + 1, 2 * span
         if before - best < TUNE_REL_TOL * max(abs(before), 1.0):
             break
 

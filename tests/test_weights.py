@@ -3,16 +3,74 @@ import pytest
 
 from wlift.experiments import random_mixture
 from wlift.lifting import double_hankel_basis, hankel_basis
-from wlift.scores import subspace_of, weighted_leverage_scores
+from wlift.scores import (GRAM_CONDITION_LIMIT, SingularWeightsError,
+                          SubspacePair, _side_norms, subspace_of,
+                          weighted_leverage_scores)
 from wlift.signal import SampleSet, sample_uniform_m, synthesize
 from wlift.solver import SolverConfig, relative_error
-from wlift.weights import (WeightPair, identity_weights,
-                           tune_diagonal_weights, two_stage_pipeline)
+from wlift.weights import (STEP_FACTORS, TUNE_REL_TOL, TUNE_SWEEPS,
+                           WeightPair, _pair_map, _side_projector,
+                           _stepped_norms,
+                           identity_weights, tune_diagonal_weights,
+                           two_stage_pipeline)
 
 
 def unobserved_score_sum(basis, weights, sub, sset):
     mu = weighted_leverage_scores(basis, weights, sub)
     return float(mu.values[sset.complement() - 1].sum())
+
+
+def reference_tune(basis, sset, sub):
+    """The tuner as a plain loop: one weighted_leverage_scores per step.
+
+    Returns (weights or None, objective, sweeps, fell_back); a step whose
+    Gram matrix is numerically singular scores +inf and is never kept.
+    """
+    diags = [np.ones(d) for d in basis.dims]
+
+    def objective():
+        try:
+            return unobserved_score_sum(basis, WeightPair(*diags), sub, sset)
+        except SingularWeightsError:
+            return np.inf
+
+    baseline = best = objective()
+    if baseline == np.inf:
+        return None, np.nan, 0, True
+    for sweeps in range(1, TUNE_SWEEPS + 1):
+        before = best
+        for diag in diags:
+            for i in range(diag.size):
+                for fac in STEP_FACTORS:
+                    kept = diag[i]
+                    diag[i] = kept * fac
+                    val = objective()
+                    if val < best:
+                        best = val
+                    else:
+                        diag[i] = kept
+        if before - best < TUNE_REL_TOL * max(abs(before), 1.0):
+            break
+    if best >= baseline:
+        return None, baseline, sweeps, False
+    return WeightPair(*diags).frobenius_normalized(), best, sweeps, False
+
+
+def assert_matches_reference(basis, sset, sub):
+    res = tune_diagonal_weights(basis, sset, sub)
+    weights, objective, sweeps, fell_back = reference_tune(basis, sset, sub)
+    assert (res.sweeps, res.fell_back) == (sweeps, fell_back)
+    if weights is None:
+        assert res.objective == res.baseline or fell_back
+        ratio = res.weights.left_diag / res.weights.left_diag[0]
+        np.testing.assert_array_equal(ratio, np.ones(basis.dims[0]))
+    else:
+        np.testing.assert_array_equal(res.weights.left_diag,
+                                      weights.left_diag)
+        np.testing.assert_array_equal(res.weights.right_diag,
+                                      weights.right_diag)
+        np.testing.assert_allclose(res.objective, objective, rtol=1e-12)
+    return res
 
 
 def test_identity_weights_shape_and_values():
@@ -214,3 +272,126 @@ def test_two_stage_unconverged_stage_one_keeps_identity(monkeypatch):
     assert result.iterations == 1
     np.testing.assert_array_equal(weights.left_diag, np.ones(30))
     np.testing.assert_array_equal(weights.right_diag, np.ones(30))
+
+
+def test_tune_rejects_mismatched_pilot():
+    basis = hankel_basis(21, 10)
+    sset = sample_uniform_m(21, 8, seed=0)
+    y = synthesize(random_mixture(21, 2, np.random.default_rng(0)))
+    sub = subspace_of(basis, y)
+    taller = subspace_of(hankel_basis(21, 11), y)
+    swapped = SubspacePair(sub.right, sub.left, sub.rank)
+    empty = SubspacePair(np.zeros((10, 0)), np.zeros((12, 0)), 0)
+    for pilot in (taller, swapped):
+        with pytest.raises(ValueError, match="do not match the basis"):
+            tune_diagonal_weights(basis, sset, pilot)
+    with pytest.raises(ValueError, match="rank 0"):
+        tune_diagonal_weights(basis, sset, empty)
+
+
+@pytest.mark.parametrize("structure, n, d", [(hankel_basis, 59, 30),
+                                             (double_hankel_basis, 21, 10),
+                                             (double_hankel_basis, 59, 40)])
+def test_stepped_norms_match_side_norms(structure, n, d):
+    # the closed-form step (rank-one update of H, P = W H W read through
+    # the basis' entry pairs) against a fresh oblique projection at every
+    # stepped weight; double-Hankel pins its cross-block row pairs
+    basis = structure(n, d)
+    rng = np.random.default_rng(d)
+    sub = subspace_of(basis, synthesize(random_mixture(n, 3, rng)))
+    unobserved = sample_uniform_m(n, n // 2, seed=d).complement()
+    for q, name in ((sub.left, "left"), (sub.right, "right")):
+        w = 2.0 ** rng.integers(-3, 4, size=q.shape[0])
+        idx = np.arange(w.size)
+        proj, _ = _side_projector(basis, w, q, name)
+        pairs = _pair_map(basis, name, unobserved)
+        for fac in STEP_FACTORS:
+            got = _stepped_norms(proj, idx, np.full(idx.size, fac), pairs)
+            for i in idx:
+                stepped = w.copy()
+                stepped[i] *= fac
+                want = _side_norms(basis, stepped, q, name)[unobserved - 1]
+                np.testing.assert_allclose(got[i], want, rtol=1e-12)
+
+
+def test_tune_matches_step_by_step_reference():
+    # the skewed, double-Hankel and sweep-bound cases above, with kept
+    # steps on both sides and runs of more than one sweep
+    cases = [(hankel_basis(21, 10), SampleSet(21, np.arange(1, 13)),
+              random_mixture(21, 2, np.random.default_rng(seed)))
+             for seed in range(10)]
+    cases.append((double_hankel_basis(21, 10), sample_uniform_m(21, 10, seed=1),
+                  random_mixture(21, 2, np.random.default_rng(1))))
+    cases.append((hankel_basis(21, 10), sample_uniform_m(21, 8, seed=2),
+                  random_mixture(21, 2, np.random.default_rng(4))))
+    sweeps = []
+    for basis, sset, mix in cases:
+        res = assert_matches_reference(basis, sset,
+                                       subspace_of(basis, synthesize(mix)))
+        assert res.objective < res.baseline
+        sweeps.append(res.sweeps)
+    assert max(sweeps) > 1
+
+
+def _nearly_dependent_pilot(eps):
+    # left columns u0 and u0 + eps u1: cond(Q^H Q) is about 4 / eps^2
+    basis = hankel_basis(21, 10)
+    sub = subspace_of(basis, synthesize(random_mixture(
+        21, 2, np.random.default_rng(3))))
+    u = sub.left
+    left = np.column_stack([u[:, 0], u[:, 0] + eps * u[:, 1]])
+    return basis, SubspacePair(left, sub.right, 2)
+
+
+def test_tune_never_keeps_an_ill_conditioned_step(monkeypatch):
+    # cond(G) starts near 4.4e11, so some improving steps would push it
+    # past the limit; the tuner turns each down, as the reference does
+    import wlift.weights
+    basis, pilot = _nearly_dependent_pilot(3e-6)
+    rejected = []
+
+    def recording(basis, w, q, side):
+        try:
+            return _side_projector(basis, w, q, side)
+        except SingularWeightsError:
+            rejected.append(side)
+            raise
+
+    monkeypatch.setattr(wlift.weights, "_side_projector", recording)
+    res = assert_matches_reference(basis, SampleSet(21, np.arange(1, 13)),
+                                   pilot)
+    assert rejected and not res.fell_back
+    assert res.objective < res.baseline
+    for w, q in ((res.weights.left_diag, pilot.left),
+                 (res.weights.right_diag, pilot.right)):
+        wq = w[:, None] * q
+        assert np.linalg.cond(wq.conj().T @ wq) <= GRAM_CONDITION_LIMIT
+
+
+def test_tune_ill_conditioned_baseline_falls_back():
+    basis, pilot = _nearly_dependent_pilot(1e-9)
+    res = tune_diagonal_weights(basis, SampleSet(21, np.arange(1, 13)),
+                                pilot)
+    assert res.fell_back and res.sweeps == 0
+    assert np.isnan(res.objective) and np.isnan(res.baseline)
+    np.testing.assert_array_equal(res.weights.left_diag,
+                                  np.full(10, 10 ** -0.5))
+
+
+def test_tune_refreshes_gram_only_for_kept_steps(monkeypatch):
+    # a tune that keeps identity scores every step from one Gram solve
+    # per side; a loop that re-solved per step would make about 4 * d
+    import wlift.weights
+    calls = []
+
+    def counting(basis, w, q, side):
+        calls.append(side)
+        return _side_projector(basis, w, q, side)
+
+    monkeypatch.setattr(wlift.weights, "_side_projector", counting)
+    basis = hankel_basis(59, 30)
+    sub = subspace_of(basis, synthesize(random_mixture(
+        59, 3, np.random.default_rng(7))))
+    res = tune_diagonal_weights(basis, sample_uniform_m(59, 25, seed=0), sub)
+    assert res.objective == res.baseline and res.sweeps == 1
+    assert sorted(calls) == ["left", "right"]
