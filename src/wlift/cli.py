@@ -129,7 +129,7 @@ def cmd_tune(resolved, args):
     try:
         pilot = subspace_of(basis, y)
         tuned = tune_diagonal_weights(basis, sset, pilot)
-    except (SingularWeightsError, ValueError) as exc:
+    except ValueError as exc:  # SingularWeightsError included
         raise NumericalFailure(f"tuning failed: {exc}") from exc
     lines = ["# objective baseline",
              f"{tuned.objective:.6f} {tuned.baseline:.6f}",

@@ -10,17 +10,18 @@ and the lift is real-linear instead of complex-linear.
 
 A basis is three flat per-cell arrays (row, column, element), grouped by
 element; the Hankel builders compute them from grid index arithmetic.
-Each basis derives (once, on first use) the flat index arrays that make
-the lift one gather and its adjoint one gather plus one `bincount`.
-`LiftOperator` is the one implementation of both; it also carries
-optional per-cell weights, which is how the solver applies diagonal
-weight pairs. A centro-Hermitian weighted lift (the double-Hankel one
-with mirror-symmetric weights) also has a real form, `RealLift`: one
-fixed unitary change of basis on each side makes the lifted matrix real.
+`LiftOperator` is the one lift operator: a gather table over the (re, im)
+floats of x, so the lift is one gather and its adjoint one `bincount`. It
+carries optional per-cell weights, which is how the solver applies
+diagonal weight pairs. A centro-Hermitian weighted lift (the double-Hankel
+one with mirror-symmetric weights) also has a real form, the same class
+with a two-term table: one fixed unitary change of basis on each side
+makes the lifted matrix real.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -31,7 +32,6 @@ import numpy as np
 __all__ = [
     "LiftingBasis",
     "LiftOperator",
-    "RealLift",
     "BasisReport",
     "hankel_basis",
     "double_hankel_basis",
@@ -87,25 +87,6 @@ class LiftingBasis:
                         axis=1).ravel()
 
     @cached_property
-    def flat_cells(self) -> np.ndarray:
-        """Row-major grid position rows * d2 + cols of each cell."""
-        return self.rows * self.dims[1] + self.cols
-
-    @cached_property
-    def lift_source(self) -> np.ndarray:
-        """Per grid position, the index of its value in [x, conj(x), 0].
-
-        A cell of element n reads x_n (index n), or conj(x_n) (index N + n)
-        when it conjugates; positions outside every pattern read the
-        trailing zero (index 2N).
-        """
-        source = np.full(self.dims[0] * self.dims[1], 2 * self.n)
-        source[self.flat_cells] = self.element
-        if self.conjugated is not None:
-            source[self.flat_cells[self.conjugated]] += self.n
-        return source
-
-    @cached_property
     def row_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cols_a, cols_b, element) over ordered same-row cell pairs.
 
@@ -134,113 +115,96 @@ class LiftingBasis:
 
 
 class LiftOperator:
-    """The lift with optional positive per-cell weights.
+    """The lift with optional positive per-cell weights, as one gather table.
 
     forward(x) puts cell[j] * x_n (conj(x_n) on conjugating cells) at each
-    cell j of element n; cell=None or all-ones cells mean the plain lift.
-    adjoint is the adjoint for the real inner product Re<.,.>, so it
-    conjugates the conjugating cells back before summing. Patterns are
-    disjoint, so adjoint(forward(.)) is diagonal with entries normal_diag,
-    the per-element sums of squared cell weights (omega_n for unit cells).
+    cell j of element n; cell=None means unit weights. Each float of the
+    lifted matrix is sum_t coef[t] * v[source[t]] over the interleaved
+    (re, im) floats v of x. The complex lift is the one-term table of its
+    d1 x 2 d2 float view, with the imaginary weight negated on conjugating
+    cells; `real_form` is a two-term table. So forward is one gather and
+    adjoint, the adjoint for the real inner products, one signed
+    `bincount`. Patterns are disjoint, so adjoint(forward(.)) is diagonal
+    with entries normal_diag, the per-element sums of squared cell weights
+    (omega_n for unit cells).
     """
 
     def __init__(self, basis: LiftingBasis, cell: Optional[np.ndarray] = None):
-        if cell is not None and np.all(cell == 1.0):
-            cell = None  # unit weights need no multiply
+        d1, d2 = basis.dims
+        cell = np.ones(basis.rows.size) if cell is None else cell
         self.basis = basis
-        self.normal_diag = (basis.support_counts.astype(float) if cell is None
-                            else basis.element_sum(cell ** 2))
-        # forward's work vector [x, conj(x), 0], read through basis.lift_source
-        self._padded = np.zeros(2 * basis.n + 1, dtype=complex)
-        self._grid_cell = None  # cell weights at their grid positions
-        if cell is not None:
-            self._grid_cell = np.zeros(basis.dims[0] * basis.dims[1])
-            self._grid_cell[basis.flat_cells] = cell
-        # per (re, im) float of each cell: its weight, negated on the
-        # imaginary part of conjugating cells
-        self._split_cell = None
-        if cell is not None or basis.conjugated is not None:
-            re = np.ones(basis.rows.size) if cell is None else cell
-            im = re if basis.conjugated is None \
-                else np.where(basis.conjugated, -re, re)
-            self._split_cell = np.stack((re, im), axis=1).ravel()
+        self.normal_diag = basis.element_sum(cell ** 2)
+        flat = basis.rows * d2 + basis.cols  # row-major grid positions
+        # each cell's (re, im) floats in the float view, in basis order;
+        # positions outside every pattern read 0 * v[0]
+        at = (2 * flat[:, None] + [0, 1]).ravel()
+        im = cell if basis.conjugated is None \
+            else np.where(basis.conjugated, -cell, cell)
+        source = np.zeros((1, d1, 2 * d2), dtype=np.int64)
+        coef = np.zeros((1, d1, 2 * d2))
+        source.ravel()[at] = basis.split_element
+        coef.ravel()[at] = np.stack((cell, im), axis=1).ravel()
+        # the adjoint adds each element's cells in basis order, which is
+        # grid order when the cells cover the grid and every element's
+        # cells run in grid order (Hankel, but not double-Hankel)
+        in_grid_order = basis.rows.size == d1 * d2 and np.all(
+            np.diff(flat)[np.diff(basis.element) == 0] > 0)
+        self._use_table(source, coef, None if in_grid_order else at)
+
+    def _use_table(self, source: np.ndarray, coef: np.ndarray,
+                   order: Optional[np.ndarray] = None) -> None:
+        """Adopt a table; order lists its terms in the adjoint's adding order."""
+        self.source, self.coef = source, coef
+        # a complex lift's table spans the float view of its d1 x d2 matrix
+        self.dtype = complex if source.shape[2] > self.basis.dims[1] else float
+        self._order = order
+        self._bins = source.ravel() if order is None else source.ravel()[order]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        b = self.basis
-        padded = self._padded
-        padded[:b.n] = x
-        if b.conjugated is not None:
-            np.conjugate(x, out=padded[b.n:2 * b.n])
-        m = padded[b.lift_source]
-        if self._grid_cell is not None:
-            m *= self._grid_cell
-        return m.reshape(b.dims)
+        terms = np.ascontiguousarray(x, dtype=complex).view(float).take(
+            self.source)
+        terms *= self.coef
+        return (terms[0] if len(terms) == 1 else terms[0] + terms[1]
+                ).view(self.dtype)
 
     def adjoint(self, m: np.ndarray) -> np.ndarray:
-        """Adjoint of forward; m is a complex d1 x d2 array."""
-        b = self.basis
-        vals = m.reshape(-1)[b.flat_cells]
-        if self._split_cell is not None:
-            vals = (vals.view(float) * self._split_cell).view(complex)
-        return b.element_sum(vals)
+        """Adjoint of forward; m is a d1 x d2 array of forward's dtype."""
+        terms = (self.coef * np.ascontiguousarray(m, dtype=self.dtype)
+                 .view(float)).ravel()
+        if self._order is not None:
+            terms = terms[self._order]
+        return np.bincount(self._bins, weights=terms,
+                           minlength=2 * self.basis.n).view(complex)
 
-    def real_form(self) -> Optional[RealLift]:
+    def real_form(self) -> Optional[LiftOperator]:
         """This lift in real coordinates, or None when it is not centro-Hermitian.
 
-        The weighted lift M is centro-Hermitian when d2 is even and every
-        grid position is a cell whose mirror (d1-1-r, d2-1-c) holds the
-        same element with the opposite conjugation and the same weight;
-        then M = [A, J conj(A) J] for its left half A (J the order
+        The lifted matrix M is centro-Hermitian when d2 is even and each
+        grid position's mirror (d1-1-r, d2-1-c) holds its conjugate: the
+        same element with the opposite conjugation and the same weight.
+        Then M = [A, J conj(A) J] for its left half A (J the order
         reversal). With U = (I + iJ)/sqrt(2) and
         V = (1/sqrt(2)) [[I, iI], [iJ, J]], U^H M V is the real matrix
         [Re A + J Im A, J Re A - Im A], with the singular values of M.
+        Its two-term table adds in grid order, term 0 then term 1.
         """
-        b = self.basis
-        n, (d1, d2) = b.n, b.dims
-        source = b.lift_source
-        # the flat mirror of grid position p is d1 d2 - 1 - p
-        if (d2 % 2 or np.any(source == 2 * n)
-                or np.any(source[::-1] != (source + n) % (2 * n))):
+        d1, d2 = self.basis.dims
+        if self.dtype is not complex or d2 % 2:
             return None
-        w = np.ones(source.size) if self._grid_cell is None else self._grid_cell
-        if np.any(w[::-1] != w):
+        # the (re, im) table entries of each grid position
+        source = self.source.reshape(d1, d2, 2)
+        coef = self.coef.reshape(d1, d2, 2)
+        if (np.any(source[::-1, ::-1] != source)
+                or np.any(coef[::-1, ::-1] != coef * [1, -1])):
             return None
-        half = source.reshape(d1, d2)[:, :d2 // 2]
-        re = 2 * (half % n)  # float offset of Re x_n in x.view(float)
-        w = w.reshape(d1, d2)[:, :d2 // 2]
-        sw = np.where(half >= n, -w, w)  # Im A = sw * Im x_n
+        re, im = source[:, :d2 // 2, 0], source[:, :d2 // 2, 1]
+        w, sw = coef[:, :d2 // 2, 0], coef[:, :d2 // 2, 1]
         flip = np.flipud
-        return RealLift(
-            np.stack((np.hstack((re, flip(re))), np.hstack((flip(re), re)) + 1)),
-            np.stack((np.hstack((w, flip(w))), np.hstack((flip(sw), -sw)))),
-            self.normal_diag)
-
-
-class RealLift:
-    """A centro-Hermitian lift x -> U^H M(x) V as a real matrix.
-
-    Each entry is coef[0] * v[source[0]] + coef[1] * v[source[1]] over the
-    interleaved (re, im) floats v of x, so forward is one gather and
-    adjoint one signed `bincount`. U and V are unitary, so the adjoint of
-    the real form is the complex lift's adjoint of U Z V^H, and
-    adjoint(forward(.)) is the same diagonal normal_diag.
-    """
-
-    def __init__(self, source: np.ndarray, coef: np.ndarray,
-                 normal_diag: np.ndarray):
-        self.source = source
-        self.coef = coef
-        self.normal_diag = normal_diag
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        v = np.ascontiguousarray(x, dtype=complex).view(float)
-        terms = self.coef * v[self.source]
-        return terms[0] + terms[1]
-
-    def adjoint(self, z: np.ndarray) -> np.ndarray:
-        """Adjoint of forward for the real inner products; z is real d1 x d2."""
-        return np.bincount(self.source.ravel(), weights=(self.coef * z).ravel(),
-                           minlength=2 * self.normal_diag.size).view(complex)
+        real = copy.copy(self)
+        real._use_table(
+            np.stack((np.hstack((re, flip(re))), np.hstack((flip(im), im)))),
+            np.stack((np.hstack((w, flip(w))), np.hstack((flip(sw), -sw)))))
+        return real
 
 
 @dataclass(frozen=True)

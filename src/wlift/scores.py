@@ -87,6 +87,11 @@ def _left_product_norms(basis: LiftingBasis, g_left: np.ndarray) -> np.ndarray:
     return basis.element_sum(col_sq[basis.rows]) / basis.support_counts
 
 
+def _check_subspace(basis: LiftingBasis, subspace: SubspacePair) -> None:
+    if (subspace.left.shape[0], subspace.right.shape[0]) != basis.dims:
+        raise ValueError("subspace dimensions do not match the basis")
+
+
 def leverage_scores(basis: LiftingBasis, subspace: SubspacePair) -> ScoreVector:
     """Unweighted scores (N/K) * max(||U^H A_n||_F^2, ||A_n V||_F^2).
 
@@ -94,11 +99,9 @@ def leverage_scores(basis: LiftingBasis, subspace: SubspacePair) -> ScoreVector:
     the conjugate-transpose variant is dimensionally inconsistent for the
     lifted shapes handled here.
     """
-    u, v = subspace.left, subspace.right
-    if u.shape[0] != basis.dims[0] or v.shape[0] != basis.dims[1]:
-        raise ValueError("subspace dimensions do not match the basis")
-    left = _left_product_norms(basis, u.conj().T)
-    right = _right_product_norms(basis, v)
+    _check_subspace(basis, subspace)
+    left = _left_product_norms(basis, subspace.left.conj().T)
+    right = _right_product_norms(basis, subspace.right)
     vals = basis.n / subspace.rank * np.maximum(left, right)
     return ScoreVector(vals, subspace.rank)
 
@@ -142,6 +145,7 @@ def weighted_leverage_scores(basis: LiftingBasis, weights: WeightPair,
     P_U(Y) = W_L^H U (U^H W_L W_L^H U)^-1 U^H W_L Y and its right-hand
     mirror; the K x K Gram inverses are formed once and shared across n.
     """
+    _check_subspace(basis, subspace)
     left = _side_norms(basis, weights.left_diag, subspace.left, "left")
     right = _side_norms(basis, weights.right_diag, subspace.right, "right")
     vals = basis.n / subspace.rank * np.maximum(left, right)
@@ -179,6 +183,9 @@ def probability_floor(scores: ScoreVector, r_l: float, n: int,
 
 def _basis_inner(basis: LiftingBasis, m: np.ndarray) -> np.ndarray:
     """<A_n, M> for all n."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != basis.dims:
+        raise ValueError(f"expected {basis.dims} matrix, got {m.shape}")
     return (basis.element_sum(m[basis.rows, basis.cols])
             / np.sqrt(basis.support_counts))
 
@@ -187,7 +194,7 @@ def a_norm_inf(basis: LiftingBasis, scores: ScoreVector, m: np.ndarray) -> float
     """max_n |N <A_n, M> / (K mu_n sqrt(omega_n))|."""
     if np.any(scores.values <= 0):
         raise ValueError("A-norms need strictly positive scores")
-    inner = _basis_inner(basis, np.asarray(m, dtype=complex))
+    inner = _basis_inner(basis, m)
     denom = scores.rank_used * scores.values * np.sqrt(basis.support_counts)
     return float(np.max(np.abs(basis.n * inner) / denom))
 
@@ -199,7 +206,7 @@ def a_norm_2(basis: LiftingBasis, scores: ScoreVector, m: np.ndarray) -> float:
     """
     if np.any(scores.values <= 0):
         raise ValueError("A-norms need strictly positive scores")
-    inner = _basis_inner(basis, np.asarray(m, dtype=complex))
+    inner = _basis_inner(basis, m)
     denom = scores.rank_used * scores.values * basis.support_counts
     return float(np.sqrt(np.sum(basis.n * np.abs(inner) ** 2 / denom)))
 

@@ -5,10 +5,10 @@ on the observed coordinates (noiseless) or inside the l2-ball around the
 noisy observations (noisy). The Z-update is singular value thresholding,
 computed from the eigendecomposition of the smaller Gram matrix; the
 g-update is a least-squares solve, coordinate-separable because the
-weights are diagonal and the lifting patterns are disjoint. A
-centro-Hermitian weighted lift (double-Hankel with identity or
-mirror-symmetric weights) is solved in real coordinates
-(`LiftOperator.real_form`): the same singular values, in real arithmetic.
+weights are diagonal and the lifting patterns are disjoint. One
+`LiftOperator` applies the lift and its adjoint; for a centro-Hermitian
+weighted lift (double-Hankel with identity or mirror-symmetric weights)
+it is the real form, with the same singular values in real arithmetic.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _ball_project(g: np.ndarray, obs0: np.ndarray, center: np.ndarray,
     delta = g[obs0] - center
     norm = _norm(delta)
     if norm > radius:
-        g[obs0] = center + delta * (radius / norm if norm > 0 else 0.0)
+        g[obs0] = center + delta * (radius / norm)
 
 
 def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,

@@ -387,6 +387,22 @@ def test_real_form_adjoint_and_normal_diag(n, d, weighting):
                                        atol=1e-14 * op.normal_diag[k])
 
 
+@pytest.mark.parametrize("weighting", ["unit", "mirror"])
+@pytest.mark.parametrize("n,d", REAL_FORM_CASES)
+def test_real_form_is_bit_exact(n, d, weighting):
+    # R = [Re A + J Im A, J Re A - Im A] for the left half A of the complex
+    # lift, term by term: another summation order would move solve bits
+    op = _real_form_op(n, d, weighting)
+    real = op.real_form()
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        x = random_complex(rng, n)
+        a = op.forward(x)[:, :op.basis.dims[1] // 2]
+        flip = np.flipud
+        expected = np.hstack((a.real + flip(a.imag), flip(a.real) - a.imag))
+        assert np.all(real.forward(x) == expected)
+
+
 @pytest.mark.parametrize("make", [
     lambda: LiftOperator(hankel_basis(21, 10)),
     lambda: LiftOperator(_partial_cover()),

@@ -211,6 +211,42 @@ def test_a_norms_zero_matrix():
     assert a_norm_2(basis, mu, np.zeros(basis.dims)) == 0
 
 
+def _oversized_matrix_case():
+    basis = hankel_basis(59, 30)
+    sub = subspace_of(basis, synthesize(random_mixture(
+        59, 2, np.random.default_rng(3))))
+    # a 31 x 31 matrix whose top-left block is the right-sized f0
+    f0 = np.zeros((31, 31), dtype=complex)
+    f0[:30, :30] = sub.left @ sub.right.conj().T
+    return basis, leverage_scores(basis, sub), f0
+
+
+def test_a_norm_inf_rejects_mismatched_matrix():
+    basis, mu, f0 = _oversized_matrix_case()
+    assert a_norm_inf(basis, mu, f0[:30, :30]) > 0
+    with pytest.raises(ValueError, match="matrix"):
+        a_norm_inf(basis, mu, f0)
+
+
+def test_a_norm_2_rejects_mismatched_matrix():
+    basis, mu, f0 = _oversized_matrix_case()
+    assert a_norm_2(basis, mu, f0[:30, :30]) > 0
+    with pytest.raises(ValueError, match="matrix"):
+        a_norm_2(basis, mu, f0)
+
+
+def test_weighted_scores_reject_mismatched_shapes():
+    basis = hankel_basis(59, 30)
+    sub31 = subspace_of(hankel_basis(61, 31), synthesize(random_mixture(
+        61, 2, np.random.default_rng(4))))
+    with pytest.raises(ValueError, match="subspace"):
+        weighted_leverage_scores(basis, identity_weights((31, 31)), sub31)
+    sub = subspace_of(basis, synthesize(random_mixture(
+        59, 2, np.random.default_rng(4))))
+    with pytest.raises(ValueError):  # 31 weights on 30 subspace rows
+        weighted_leverage_scores(basis, identity_weights((31, 31)), sub)
+
+
 def test_f0_norm_bounds_random_mixtures():
     rng = np.random.default_rng(8)
     basis = hankel_basis(59, 30)
