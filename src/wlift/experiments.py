@@ -116,6 +116,12 @@ def cell_seed(base_seed: int, m: int, k: int, trial: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _check_count(name: str, count) -> None:
+    """Reject a count that is not a positive integer (bools included)."""
+    if not isinstance(count, Integral) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {count!r}")
+
+
 def _check_separation(k: int, min_separation: float) -> None:
     if not min_separation >= 0:  # NaN included
         raise ValueError("min_separation must be nonnegative, "
@@ -210,8 +216,7 @@ def phase_transition(grid: PhaseGrid, workers: int = 1) -> SuccessSurface:
     workers > 1 spreads the cells over that many processes, at most one
     per cell (a fork pool starts every worker at once).
     """
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
+    _check_count("workers", workers)
     cells = [(grid, mi, ki)
              for ki in range(len(grid.sparsity_levels))
              for mi in range(len(grid.sample_counts))]
@@ -233,8 +238,7 @@ def noise_sweep(n: int, structure: str, pencil: int, k: int, m: int,
     The reported error is ||L(estimate) - L(truth)||_F averaged over
     trials (identity weights, so the weighted and plain lifts coincide).
     """
-    if trials < 1:
-        raise ValueError("need at least one trial per noise level")
+    _check_count("trials", trials)
     if len(etas) == 0:
         raise ValueError("need at least one noise level")
     basis = build_basis(structure, n, pencil)
@@ -242,14 +246,14 @@ def noise_sweep(n: int, structure: str, pencil: int, k: int, m: int,
     for t in range(trials):
         seed = cell_seed(base_seed, m, k, t)
         y, sset = _draw(n, k, m, seed)
-        truth = lift(basis, y)
         for i, eta in enumerate(etas):
             noisy = add_noise(y, eta, seed=seed ^ 0x5EED)
             result = complete(basis, identity_weights(basis.dims), sset,
                               project(noisy, sset),
                               noise_bound=eta if eta > 0 else None,
                               config=solver_config)
-            totals[i] += float(np.linalg.norm(lift(basis, result.estimate) - truth))
+            # the unit lift only multiplies by +-1: L(a) - L(b) == L(a - b)
+            totals[i] += float(np.linalg.norm(lift(basis, result.estimate - y)))
     return [(float(eta), total / trials) for eta, total in zip(etas, totals)]
 
 

@@ -71,20 +71,8 @@ class LiftingBasis:
         return self.rows[mask], self.cols[mask]
 
     def element_sum(self, vals: np.ndarray) -> np.ndarray:
-        """Sum flat per-cell values (aligned with rows/cols) over each element."""
-        if np.iscomplexobj(vals):
-            # one bincount over the (re, im) floats; each part still adds
-            # its element's cells in pattern order
-            vals = np.ascontiguousarray(vals, dtype=complex).view(float)
-            return np.bincount(self.split_element, weights=vals,
-                               minlength=2 * self.n).view(complex)
+        """Sum real per-cell values (aligned with rows/cols) over each element."""
         return np.bincount(self.element, weights=vals, minlength=self.n)
-
-    @cached_property
-    def split_element(self) -> np.ndarray:
-        """Bins (2 element, 2 element + 1) of each cell's (re, im) pair."""
-        return np.stack((2 * self.element, 2 * self.element + 1),
-                        axis=1).ravel()
 
     @cached_property
     def row_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,7 +130,7 @@ class LiftOperator:
             else np.where(basis.conjugated, -cell, cell)
         source = np.zeros((1, d1, 2 * d2), dtype=np.int64)
         coef = np.zeros((1, d1, 2 * d2))
-        source.ravel()[at] = basis.split_element
+        source.ravel()[at] = (2 * basis.element[:, None] + [0, 1]).ravel()
         coef.ravel()[at] = np.stack((cell, im), axis=1).ravel()
         # the adjoint adds each element's cells in basis order, which is
         # grid order when the cells cover the grid and every element's

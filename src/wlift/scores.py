@@ -106,10 +106,14 @@ def leverage_scores(basis: LiftingBasis, subspace: SubspacePair) -> ScoreVector:
     return ScoreVector(vals, subspace.rank)
 
 
-def _oblique_projector(w: np.ndarray, q: np.ndarray, side: str) -> np.ndarray:
-    """P = W^H Q (Q^H W W^H Q)^-1 Q^H W for the real weight diagonal w.
+def _side_projector(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
+                    side: str):
+    """(P, per-element norms) of one side's oblique projection at weights w.
 
-    W^H Q is a row scaling of Q, and P is an orthogonal projector. Raises
+    P = W^H Q (Q^H W W^H Q)^-1 Q^H W for the real weight diagonal w, with
+    Q = U for side "left" and Q = V for side "right". W^H Q is a row
+    scaling of Q, and P is an orthogonal projector. The norms are
+    ||P A_n||_F^2 ("left") or ||A_n P||_F^2 ("right"). Raises
     SingularWeightsError when the K x K Gram matrix is numerically singular.
     """
     wq = w[:, None] * q
@@ -118,24 +122,9 @@ def _oblique_projector(w: np.ndarray, q: np.ndarray, side: str) -> np.ndarray:
     if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
         raise SingularWeightsError(
             f"{side} weight Gram matrix is ill-conditioned (cond={cond:.3e})")
-    return wq @ np.linalg.solve(gram, wq.conj().T)
-
-
-def _projector_norms(basis: LiftingBasis, proj: np.ndarray,
-                     side: str) -> np.ndarray:
-    """||P A_n||_F^2 per element for side "left", ||A_n P||_F^2 for "right"."""
-    if side == "left":
-        return _left_product_norms(basis, proj)
-    return _right_product_norms(basis, proj)
-
-
-def _side_norms(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
-               side: str) -> np.ndarray:
-    """Per-element squared norms of A_n under one side's oblique projection.
-
-    Q = U for side "left" and Q = V for side "right".
-    """
-    return _projector_norms(basis, _oblique_projector(w, q, side), side)
+    proj = wq @ np.linalg.solve(gram, wq.conj().T)
+    norms = _left_product_norms if side == "left" else _right_product_norms
+    return proj, norms(basis, proj)
 
 
 def weighted_leverage_scores(basis: LiftingBasis, weights: WeightPair,
@@ -146,8 +135,9 @@ def weighted_leverage_scores(basis: LiftingBasis, weights: WeightPair,
     mirror; the K x K Gram inverses are formed once and shared across n.
     """
     _check_subspace(basis, subspace)
-    left = _side_norms(basis, weights.left_diag, subspace.left, "left")
-    right = _side_norms(basis, weights.right_diag, subspace.right, "right")
+    _, left = _side_projector(basis, weights.left_diag, subspace.left, "left")
+    _, right = _side_projector(basis, weights.right_diag, subspace.right,
+                               "right")
     vals = basis.n / subspace.rank * np.maximum(left, right)
     return ScoreVector(vals, subspace.rank)
 
@@ -186,8 +176,10 @@ def _basis_inner(basis: LiftingBasis, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != basis.dims:
         raise ValueError(f"expected {basis.dims} matrix, got {m.shape}")
-    return (basis.element_sum(m[basis.rows, basis.cols])
-            / np.sqrt(basis.support_counts))
+    cells = m[basis.rows, basis.cols]
+    # each part adds its element's cells in pattern order
+    inner = basis.element_sum(cells.real) + 1j * basis.element_sum(cells.imag)
+    return inner / np.sqrt(basis.support_counts)
 
 
 def a_norm_inf(basis: LiftingBasis, scores: ScoreVector, m: np.ndarray) -> float:

@@ -126,12 +126,14 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
              config: SolverConfig = SolverConfig()) -> CompletionResult:
     """Solve the (weighted) completion program for the full sample vector.
 
-    noise_bound=None enforces P_Omega(g) = y_Omega exactly; a nonnegative
-    noise_bound eta relaxes it to ||P_Omega(g) - y_Omega||_2 <= sqrt(M) eta.
+    noise_bound=None enforces P_Omega(g) = y_Omega exactly; a finite
+    nonnegative noise_bound eta relaxes it to
+    ||P_Omega(g) - y_Omega||_2 <= sqrt(M) eta.
     Iteration exhaustion returns converged=False rather than raising.
     """
-    if noise_bound is not None and not noise_bound >= 0:
-        raise ValueError(f"noise bound must be nonnegative, got {noise_bound}")
+    if noise_bound is not None and not 0 <= noise_bound < np.inf:
+        raise ValueError("noise bound must be finite and nonnegative, "
+                         f"got {noise_bound}")
     observed = np.asarray(observed, dtype=complex)
     if sample_set.size == 0:
         raise ValueError("cannot complete from an empty sample set")

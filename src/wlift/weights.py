@@ -14,8 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .lifting import LiftingBasis
-from .scores import (SingularWeightsError, _oblique_projector,
-                     _projector_norms, subspace_of)
+from .scores import SingularWeightsError, _side_projector, subspace_of
 from .signal import SampleSet
 from .solver import SolverConfig, complete
 
@@ -45,6 +44,10 @@ class WeightPair:
             if diag.ndim != 1:
                 raise ValueError(f"{name} must be a 1-D diagonal, "
                                  f"got shape {diag.shape}")
+            if np.iscomplexobj(diag):
+                if np.any(diag.imag != 0):
+                    raise ValueError(f"{name} has a nonzero imaginary part")
+                diag = diag.real
             diag = diag.astype(float, copy=False)
             if not np.all(np.isfinite(diag)):
                 raise ValueError(f"{name} has a non-finite entry")
@@ -83,13 +86,6 @@ class TuneResult:
     baseline: float
     sweeps: int
     fell_back: bool = False     # set when tuning hit singular weights
-
-
-def _side_projector(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
-                    side: str):
-    """(P, per-element norms) of one side at weights w; one Gram solve."""
-    proj = _oblique_projector(w, q, side)
-    return proj, _projector_norms(basis, proj, side)
 
 
 def _pair_map(basis: LiftingBasis, side: str, unobserved: np.ndarray):

@@ -153,6 +153,13 @@ def test_phase_transition_rejects_no_workers():
             phase_transition(grid, workers=workers)
 
 
+def test_phase_transition_rejects_non_integer_workers():
+    grid = PhaseGrid((21,), (1,), trials=1, n=21, pencil=10)
+    for workers in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="workers"):
+            phase_transition(grid, workers=workers)
+
+
 def test_phase_transition_sizes_pool_by_cells(monkeypatch):
     sizes = []
 
@@ -241,3 +248,9 @@ def test_noise_sweep_levels_are_independent():
                     + noise_sweep(*args, [1e-2], trials=2, base_seed=3))
     with pytest.raises(ValueError):
         noise_sweep(*args, [1e-3], trials=0)
+
+
+def test_noise_sweep_rejects_non_integer_trials():
+    for trials in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="trials"):
+            noise_sweep(21, "hankel", 10, 1, 14, [1e-3], trials=trials)

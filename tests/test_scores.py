@@ -211,6 +211,26 @@ def test_a_norms_zero_matrix():
     assert a_norm_2(basis, mu, np.zeros(basis.dims)) == 0
 
 
+@pytest.mark.parametrize("structure, n, d", [(hankel_basis, 21, 10),
+                                             (double_hankel_basis, 21, 14)])
+def test_a_norms_match_dense_inner_products(structure, n, d):
+    # <A_n, M> for a complex M from the materialised elements; double-Hankel
+    # sums each element's cells over both blocks
+    basis = structure(n, d)
+    rng = np.random.default_rng(d)
+    sub = subspace_of(basis, synthesize(random_mixture(n, 3, rng)))
+    mu = leverage_scores(basis, sub)
+    m = rng.standard_normal(basis.dims) + 1j * rng.standard_normal(basis.dims)
+    inner = np.array([np.sum(basis.element_dense(j) * m)
+                      for j in range(basis.n)])
+    omega = basis.support_counts
+    k = mu.rank_used
+    want_inf = np.max(np.abs(n * inner) / (k * mu.values * np.sqrt(omega)))
+    want_2 = np.sqrt(np.sum(n * np.abs(inner) ** 2 / (k * mu.values * omega)))
+    np.testing.assert_allclose(a_norm_inf(basis, mu, m), want_inf, rtol=1e-12)
+    np.testing.assert_allclose(a_norm_2(basis, mu, m), want_2, rtol=1e-12)
+
+
 def _oversized_matrix_case():
     basis = hankel_basis(59, 30)
     sub = subspace_of(basis, synthesize(random_mixture(

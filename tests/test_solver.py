@@ -252,6 +252,17 @@ def test_complete_error_conditions():
                      np.array([1.0, 2.0]), noise_bound=eta)
 
 
+def test_complete_rejects_infinite_noise_bound():
+    # an infinite radius frees every sample, and the zero vector would
+    # come back as converged
+    basis = hankel_basis(21, 10)
+    y = synthesize(random_mixture(21, 2, np.random.default_rng(0)))
+    sset = sample_uniform_m(21, 12, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        complete(basis, identity_weights(basis.dims), sset,
+                 y[sset.indices - 1], noise_bound=np.inf)
+
+
 def test_complete_annihilating_weights_rejected():
     basis = hankel_basis(9, 4)
     weights = WeightPair(np.zeros(4), np.ones(6))

@@ -1,11 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from wlift.experiments import random_mixture
 from wlift.lifting import double_hankel_basis, hankel_basis
 from wlift.scores import (GRAM_CONDITION_LIMIT, SingularWeightsError,
-                          SubspacePair, _side_norms, subspace_of,
-                          weighted_leverage_scores)
+                          SubspacePair, subspace_of, weighted_leverage_scores)
 from wlift.signal import SampleSet, sample_uniform_m, synthesize
 from wlift.solver import SolverConfig, relative_error
 from wlift.weights import (STEP_FACTORS, TUNE_REL_TOL, TUNE_SWEEPS,
@@ -106,6 +107,19 @@ def test_weight_pair_rejects_non_finite():
             WeightPair(left, right)
 
 
+def test_weight_pair_rejects_imaginary_parts():
+    with pytest.raises(ValueError, match="left_diag"):
+        WeightPair([1 + 1j, 1], [1, 1])
+    with pytest.raises(ValueError, match="right_diag"):
+        WeightPair([1, 1], [1, 1e-300j])
+    # a complex-typed diagonal with zero imaginary parts is a real one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = WeightPair(np.array([1, 2], dtype=complex), [1.0, 3.0])
+    assert w.left_diag.dtype == float
+    np.testing.assert_array_equal(w.left_diag, [1, 2])
+
+
 def test_frobenius_normalization():
     w = WeightPair([3.0, 4.0], [1.0, 1.0]).frobenius_normalized()
     assert abs(np.linalg.norm(w.left_diag) - 1.0) < 1e-12
@@ -170,6 +184,23 @@ def test_tune_objective_matches_weighted_scores_double_hankel():
     assert np.ptp(res.weights.right_diag) > 0
     recomputed = unobserved_score_sum(basis, res.weights, sub, sset)
     np.testing.assert_allclose(res.objective, recomputed, rtol=1e-12)
+
+
+@pytest.mark.parametrize("structure, n, d", [(hankel_basis, 21, 10),
+                                             (double_hankel_basis, 21, 10),
+                                             (hankel_basis, 59, 30)])
+def test_tune_baseline_is_identity_score_sum(structure, n, d):
+    # the tuner scores through its own side helper; its baseline must be
+    # the unobserved weighted_leverage_scores sum at identity, bit for bit
+    basis = structure(n, d)
+    rng = np.random.default_rng(n + d)
+    for seed in range(3):
+        sub = subspace_of(basis, synthesize(random_mixture(n, 3, rng)))
+        sset = sample_uniform_m(n, n // 2, seed=seed)
+        res = tune_diagonal_weights(basis, sset, sub)
+        assert not res.fell_back
+        assert res.baseline == unobserved_score_sum(
+            basis, identity_weights(basis.dims), sub, sset)
 
 
 def test_tune_uniform_sampling_keeps_identity_stationary():
@@ -310,7 +341,8 @@ def test_stepped_norms_match_side_norms(structure, n, d):
             for i in idx:
                 stepped = w.copy()
                 stepped[i] *= fac
-                want = _side_norms(basis, stepped, q, name)[unobserved - 1]
+                want = _side_projector(basis, stepped, q, name)[1][
+                    unobserved - 1]
                 np.testing.assert_allclose(got[i], want, rtol=1e-12)
 
 
