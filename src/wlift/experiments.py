@@ -177,7 +177,7 @@ def run_trial(n: int, structure: str, pencil: int, weighting: str,
     """One seeded draw-sample-solve-threshold trial.
 
     Solver errors are folded into a failed outcome with an error code so a
-    sweep never crashes on one bad cell.
+    sweep never crashes on one bad trial.
     """
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -197,36 +197,29 @@ def run_trial(n: int, structure: str, pencil: int, weighting: str,
     return TrialOutcome(err <= solver_config.success_threshold, err)
 
 
-def _cell_rate(args) -> Tuple[int, int, float]:
-    grid, mi, ki = args
-    m = grid.sample_counts[mi]
-    k = grid.sparsity_levels[ki]
-    wins = 0
-    for t in range(grid.trials):
-        out = run_trial(grid.n, grid.structure, grid.pencil, grid.weighting,
-                        m, k, cell_seed(grid.base_seed, m, k, t),
-                        grid.solver, grid.min_separation)
-        wins += out.success
-    return ki, mi, wins / grid.trials
+def _trial_success(args) -> bool:
+    grid, m, k, t = args
+    return run_trial(grid.n, grid.structure, grid.pencil, grid.weighting,
+                     m, k, cell_seed(grid.base_seed, m, k, t),
+                     grid.solver, grid.min_separation).success
 
 
 def phase_transition(grid: PhaseGrid, workers: int = 1) -> SuccessSurface:
     """Mean success per (M, K) cell; deterministic for a fixed base_seed.
 
-    workers > 1 spreads the cells over that many processes, at most one
-    per cell (a fork pool starts every worker at once).
+    workers > 1 spreads the trials of every cell over that many processes,
+    at most one per trial (a fork pool starts every worker at once).
     """
     _check_count("workers", workers)
-    cells = [(grid, mi, ki)
-             for ki in range(len(grid.sparsity_levels))
-             for mi in range(len(grid.sample_counts))]
-    rates = np.zeros((len(grid.sparsity_levels), len(grid.sample_counts)))
-    workers = min(workers, len(cells))
+    trials = [(grid, m, k, t) for k in grid.sparsity_levels
+              for m in grid.sample_counts for t in range(grid.trials)]
+    workers = min(workers, len(trials))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
-        for ki, mi, rate in (pool.map if pool else map)(_cell_rate, cells):
-            rates[ki, mi] = rate
-    return SuccessSurface(grid, rates)
+        wins = np.fromiter((pool.map if pool else map)(_trial_success, trials),
+                           dtype=bool, count=len(trials))
+    shape = (len(grid.sparsity_levels), len(grid.sample_counts), grid.trials)
+    return SuccessSurface(grid, wins.reshape(shape).sum(axis=2) / grid.trials)
 
 
 def noise_sweep(n: int, structure: str, pencil: int, k: int, m: int,

@@ -95,6 +95,11 @@ class LiftingBasis:
         ia, ib = order[a], order[np.repeat(first, group) + rank]
         return self.cols[ia], self.cols[ib], self.element[ia]
 
+    @cached_property
+    def unit_lift(self) -> LiftOperator:
+        """The unweighted `LiftOperator` that `lift` and `adjoint` apply."""
+        return LiftOperator(self)
+
     def element_dense(self, n: int) -> np.ndarray:
         r, c = self.pattern(n)
         a = np.zeros(self.dims)
@@ -120,7 +125,8 @@ class LiftOperator:
     def __init__(self, basis: LiftingBasis, cell: Optional[np.ndarray] = None):
         d1, d2 = basis.dims
         cell = np.ones(basis.rows.size) if cell is None else cell
-        self.basis = basis
+        # not the basis itself: its cached unit_lift would make a cycle
+        self.dims, self.n = basis.dims, basis.n
         self.normal_diag = basis.element_sum(cell ** 2)
         flat = basis.rows * d2 + basis.cols  # row-major grid positions
         # each cell's (re, im) floats in the float view, in basis order;
@@ -144,7 +150,7 @@ class LiftOperator:
         """Adopt a table; order lists its terms in the adjoint's adding order."""
         self.source, self.coef = source, coef
         # a complex lift's table spans the float view of its d1 x d2 matrix
-        self.dtype = complex if source.shape[2] > self.basis.dims[1] else float
+        self.dtype = complex if source.shape[2] > self.dims[1] else float
         self._order = order
         self._bins = source.ravel() if order is None else source.ravel()[order]
 
@@ -162,7 +168,7 @@ class LiftOperator:
         if self._order is not None:
             terms = terms[self._order]
         return np.bincount(self._bins, weights=terms,
-                           minlength=2 * self.basis.n).view(complex)
+                           minlength=2 * self.n).view(complex)
 
     def real_form(self) -> Optional[LiftOperator]:
         """This lift in real coordinates, or None when it is not centro-Hermitian.
@@ -176,7 +182,7 @@ class LiftOperator:
         [Re A + J Im A, J Re A - Im A], with the singular values of M.
         Its two-term table adds in grid order, term 0 then term 1.
         """
-        d1, d2 = self.basis.dims
+        d1, d2 = self.dims
         if self.dtype is not complex or d2 % 2:
             return None
         # the (re, im) table entries of each grid position
@@ -286,7 +292,7 @@ def lift(basis: LiftingBasis, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (basis.n,):
         raise ValueError(f"expected length-{basis.n} vector, got {x.shape}")
-    return LiftOperator(basis).forward(x)
+    return basis.unit_lift.forward(x)
 
 
 def adjoint(basis: LiftingBasis, m: np.ndarray) -> np.ndarray:
@@ -295,7 +301,7 @@ def adjoint(basis: LiftingBasis, m: np.ndarray) -> np.ndarray:
     if m.shape != basis.dims:
         raise ValueError(f"expected {basis.dims} matrix, got {m.shape}")
     # <A_n, M> / a_n is the sum over element n's cells divided by omega_n
-    return LiftOperator(basis).adjoint(m) / basis.support_counts
+    return basis.unit_lift.adjoint(m) / basis.support_counts
 
 
 def _repeated(keys: np.ndarray) -> np.ndarray:

@@ -314,10 +314,12 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command", SUBCOMMANDS)
-def test_golden_output_bytes(command, tmp_path, capsys):
+def _write_golden(command, tmp_path, *extra):
+    """Run command's golden invocation plus extra flags and check every
+    file it writes against tests/golden/<command>; return (argv, out, golden).
+    """
     flags, config = GOLDEN[command]
-    argv = [command, *flags]
+    argv = [command, *flags, *extra]
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -331,9 +333,20 @@ def test_golden_output_bytes(command, tmp_path, capsys):
     assert written == sorted(p.name for p in golden.iterdir())
     for name in written:
         assert (out_dir / name).read_bytes() == (golden / name).read_bytes(), name
+    return argv, out, golden
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_golden_output_bytes(command, tmp_path, capsys):
+    argv, out, golden = _write_golden(command, tmp_path)
     if command != "phase":
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == (golden / out.name).read_bytes()
+
+
+def test_phase_golden_output_bytes_with_a_pool(tmp_path):
+    # --workers is not configuration: a pool writes the serial run's bytes
+    _write_golden("phase", tmp_path, "--workers", "3")
 
 
 @pytest.mark.parametrize("command, key, config", [

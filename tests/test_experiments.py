@@ -142,8 +142,15 @@ def test_phase_transition_workers_match_serial():
                      base_seed=4)
     serial = phase_transition(grid)
     assert len(np.unique(serial.rates)) == 3
-    pooled = phase_transition(grid, workers=2)
-    np.testing.assert_array_equal(pooled.rates, serial.rates)
+    # a cell-by-cell loop over run_trial, so a misordered reshape shows
+    loop = [[np.mean([run_trial(21, "hankel", 10, "identity", m, k,
+                                cell_seed(4, m, k, t)).success
+                      for t in range(grid.trials)])
+             for m in grid.sample_counts] for k in grid.sparsity_levels]
+    np.testing.assert_array_equal(serial.rates, loop)
+    for workers in (2, 3):
+        pooled = phase_transition(grid, workers=workers)
+        np.testing.assert_array_equal(pooled.rates, serial.rates)
 
 
 def test_phase_transition_rejects_no_workers():
@@ -160,7 +167,7 @@ def test_phase_transition_rejects_non_integer_workers():
             phase_transition(grid, workers=workers)
 
 
-def test_phase_transition_sizes_pool_by_cells(monkeypatch):
+def test_phase_transition_sizes_pool_by_trials(monkeypatch):
     sizes = []
 
     class SerialPool:
@@ -184,6 +191,11 @@ def test_phase_transition_sizes_pool_by_cells(monkeypatch):
     phase_transition(PhaseGrid((21,), (1,), trials=1, n=21, pencil=10),
                      workers=8)
     assert sizes == [2]
+    # one cell of three trials still gets a worker per trial
+    three = PhaseGrid((10,), (2,), trials=3, n=21, pencil=10, base_seed=4)
+    np.testing.assert_array_equal(phase_transition(three, workers=8).rates,
+                                  phase_transition(three).rates)
+    assert sizes == [2, 3]
 
 
 def test_phase_transition_monotone_in_samples():

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -115,6 +117,35 @@ def test_adjoint_single_element():
     m[0, 0] = 1
     np.testing.assert_allclose(adjoint(basis, m), [1, 0, 0])
     np.testing.assert_array_equal(adjoint(basis, np.zeros((2, 2))), np.zeros(3))
+
+
+def test_lift_and_adjoint_share_one_operator_per_basis(monkeypatch):
+    built = []
+    init = LiftOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LiftOperator, "__init__", counting_init)
+    basis = hankel_basis(21, 10)
+    x = random_complex(np.random.default_rng(2), 21)
+    first = lift(basis, x)
+    np.testing.assert_array_equal(lift(basis, x), first)
+    np.testing.assert_allclose(adjoint(basis, first), x, atol=1e-12)
+    assert len(built) == 1
+
+
+def test_basis_with_cached_operator_is_freed_by_reference_count():
+    basis = hankel_basis(21, 10)
+    lift(basis, np.ones(21))
+    ref = weakref.ref(basis)
+    gc.disable()
+    try:
+        del basis
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("make,n,d", [
@@ -350,7 +381,7 @@ def test_real_form_is_the_unitary_change_of_basis(n, d, weighting):
     # R = U^H M V with U = (I + iJ)/sqrt(2), V = [[I, iI], [iJ, J]]/sqrt(2)
     op = _real_form_op(n, d, weighting)
     real = op.real_form()
-    d1, d2 = op.basis.dims
+    d1, d2 = op.dims
     j1, jq, iq = np.eye(d1)[::-1], np.eye(d2 // 2)[::-1], np.eye(d2 // 2)
     u = (np.eye(d1) + 1j * j1) / np.sqrt(2)
     v = np.block([[iq, 1j * iq], [1j * jq, jq]]) / np.sqrt(2)
@@ -374,7 +405,7 @@ def test_real_form_adjoint_and_normal_diag(n, d, weighting):
     rng = np.random.default_rng(17)
     for _ in range(10):
         x = random_complex(rng, n)
-        z = rng.normal(size=op.basis.dims)
+        z = rng.normal(size=op.dims)
         lhs = np.sum(real.forward(x) * z)
         rhs = np.vdot(x, real.adjoint(z)).real
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
@@ -397,7 +428,7 @@ def test_real_form_is_bit_exact(n, d, weighting):
     rng = np.random.default_rng(18)
     for _ in range(5):
         x = random_complex(rng, n)
-        a = op.forward(x)[:, :op.basis.dims[1] // 2]
+        a = op.forward(x)[:, :op.dims[1] // 2]
         flip = np.flipud
         expected = np.hstack((a.real + flip(a.imag), flip(a.real) - a.imag))
         assert np.all(real.forward(x) == expected)
