@@ -20,8 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .lifting import LiftingBasis, double_hankel_basis, hankel_basis, lift
-from .signal import (Mixture, add_noise, project, sample_uniform_m,
-                     synthesize)
+from .signal import (Mixture, _check_count, add_noise, project,
+                     sample_uniform_m, synthesize)
 from .solver import SolverConfig, complete, relative_error
 from .weights import identity_weights, two_stage_pipeline
 
@@ -57,21 +57,21 @@ class PhaseGrid:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        counts = (self.n, self.pencil, self.trials, self.base_seed,
-                  *self.sample_counts, *self.sparsity_levels)
-        if not all(isinstance(c, Integral) for c in counts):
-            raise ValueError("N, pencil, trials, base_seed, sample counts "
-                             "and sparsity levels must be integers")
         if not self.sample_counts or not self.sparsity_levels:
             raise ValueError("sample counts and sparsity levels must be nonempty")
-        if self.trials < 1:
-            raise ValueError("need at least one trial per cell")
-        if not 1 <= self.pencil <= self.n:
+        for name, count in (("N", self.n), ("pencil", self.pencil),
+                            ("trials", self.trials),
+                            *(("sample count", m) for m in self.sample_counts),
+                            *(("sparsity level", k)
+                              for k in self.sparsity_levels)):
+            _check_count(name, count)
+        if not isinstance(self.base_seed, Integral) \
+                or isinstance(self.base_seed, bool):
+            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        if self.pencil > self.n:
             raise ValueError(f"pencil must lie in [1, N], got {self.pencil}")
-        if any(not 1 <= m <= self.n for m in self.sample_counts):
+        if any(m > self.n for m in self.sample_counts):
             raise ValueError("sample counts must lie in [1, N]")
-        if any(k < 1 for k in self.sparsity_levels):
-            raise ValueError("sparsity levels must be positive")
         if self.structure not in STRUCTURES:
             raise ValueError(f"unknown structure {self.structure!r}")
         if self.weighting not in WEIGHTINGS:
@@ -114,12 +114,6 @@ def build_basis(structure: str, n: int, pencil: int) -> LiftingBasis:
 def cell_seed(base_seed: int, m: int, k: int, trial: int) -> int:
     digest = hashlib.sha256(f"{base_seed}:{m}:{k}:{trial}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def _check_count(name: str, count) -> None:
-    """Reject a count that is not a positive integer (bools included)."""
-    if not isinstance(count, Integral) or isinstance(count, bool) or count < 1:
-        raise ValueError(f"{name} must be a positive integer, got {count!r}")
 
 
 def _check_separation(k: int, min_separation: float) -> None:
@@ -170,12 +164,16 @@ def _draw(n: int, k: int, m: int, seed: int, min_separation: float = 0.0):
     return y, sample_uniform_m(n, m, seed=int(rng.integers(2 ** 62)))
 
 
+SUCCESS_THRESHOLD = 1e-3  # largest relative error of a successful trial
+
+
 def run_trial(n: int, structure: str, pencil: int, weighting: str,
               m: int, k: int, seed: int,
               solver_config: SolverConfig = SolverConfig(),
               min_separation: float = 0.0) -> TrialOutcome:
     """One seeded draw-sample-solve-threshold trial.
 
+    It succeeds when its relative error is at most SUCCESS_THRESHOLD.
     Solver errors are folded into a failed outcome with an error code so a
     sweep never crashes on one bad trial.
     """
@@ -194,7 +192,7 @@ def run_trial(n: int, structure: str, pencil: int, weighting: str,
     except (ValueError, np.linalg.LinAlgError) as exc:
         return TrialOutcome(False, float("inf"), type(exc).__name__)
     err = relative_error(y, result.estimate)
-    return TrialOutcome(err <= solver_config.success_threshold, err)
+    return TrialOutcome(err <= SUCCESS_THRESHOLD, err)
 
 
 def _trial_success(args) -> bool:

@@ -65,11 +65,6 @@ class LiftingBasis:
         """a_n = sqrt(omega_n), which makes the lift the plain structured matrix."""
         return np.sqrt(self.support_counts)
 
-    def pattern(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(rows, cols) of element n, 0-based n."""
-        mask = self.element == n
-        return self.rows[mask], self.cols[mask]
-
     def element_sum(self, vals: np.ndarray) -> np.ndarray:
         """Sum real per-cell values (aligned with rows/cols) over each element."""
         return np.bincount(self.element, weights=vals, minlength=self.n)
@@ -99,12 +94,6 @@ class LiftingBasis:
     def unit_lift(self) -> LiftOperator:
         """The unweighted `LiftOperator` that `lift` and `adjoint` apply."""
         return LiftOperator(self)
-
-    def element_dense(self, n: int) -> np.ndarray:
-        r, c = self.pattern(n)
-        a = np.zeros(self.dims)
-        a[r, c] = 1.0 / np.sqrt(self.support_counts[n])
-        return a
 
 
 class LiftOperator:
@@ -248,7 +237,8 @@ def make_basis(n: int, dims: Tuple[int, int], rows: np.ndarray,
 
 def _hankel_grid(n: int, pencil: int) -> Tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of the d x (N - d + 1) grid's cells, row-major."""
-    if not (isinstance(n, Integral) and isinstance(pencil, Integral)):
+    if not all(isinstance(v, Integral) and not isinstance(v, bool)
+               for v in (n, pencil)):
         raise ValueError(f"N and pencil must be integers, got {n!r}, {pencil!r}")
     if not 1 <= pencil <= n:
         raise ValueError(f"pencil must lie in [1, N], got {pencil} for N={n}")

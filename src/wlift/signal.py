@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -136,3 +137,8 @@ def mixture_to_text(mixture: Mixture) -> str:
         out.write(f"{b.real!r} {b.imag!r} {z.real!r} {z.imag!r}\n")
     return out.getvalue()
 
+
+def _check_count(name: str, count) -> None:
+    """Reject a count that is not a positive integer (bools included)."""
+    if not isinstance(count, Integral) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {count!r}")

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .lifting import LiftingBasis, LiftOperator
-from .signal import SampleSet
+from .signal import SampleSet, _check_count
 
 if TYPE_CHECKING:
     from .weights import WeightPair
@@ -34,26 +34,29 @@ __all__ = [
     "relative_error",
 ]
 
+PENALTY = 1.0
+ABS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The two settings of `complete`: max_iters and rel_tol.
+
+    max_iters is a positive integer, rel_tol positive and finite. rho
+    starts at PENALTY, since residual balancing rescales it from the
+    residuals it measures; ABS_TOL floors both tolerances. Success is the
+    experiment's definition (`experiments.SUCCESS_THRESHOLD`).
+    """
+
     max_iters: int = 2000
-    penalty: float = 1.0
-    abs_tol: float = 1e-9
     rel_tol: float = 1e-7
-    success_threshold: float = 1e-3
 
     def __post_init__(self):
-        # bool is an Integral, but True is no iteration count or penalty
-        if not (isinstance(self.max_iters, Integral)
-                and not isinstance(self.max_iters, bool)
-                and self.max_iters >= 1):
-            raise ValueError("max_iters must be an integer of at least 1")
-        for name in ("penalty", "abs_tol", "rel_tol", "success_threshold"):
-            value = getattr(self, name)
-            if not (isinstance(value, Real) and not isinstance(value, bool)
-                    and 0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite")
+        _check_count("max_iters", self.max_iters)
+        if not (isinstance(self.rel_tol, Real)
+                and not isinstance(self.rel_tol, bool)
+                and 0 < self.rel_tol < math.inf):
+            raise ValueError("rel_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,9 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     noise_bound=None enforces P_Omega(g) = y_Omega exactly; a finite
     nonnegative noise_bound eta relaxes it to
     ||P_Omega(g) - y_Omega||_2 <= sqrt(M) eta.
-    Iteration exhaustion returns converged=False rather than raising.
+    ADMM starts at rho = PENALTY and stops when both residuals are within
+    ABS_TOL * sqrt(d1 d2) + config.rel_tol * (an iterate's norm); hitting
+    config.max_iters first returns converged=False rather than raising.
     """
     if noise_bound is not None and not 0 <= noise_bound < np.inf:
         raise ValueError("noise bound must be finite and nonnegative, "
@@ -166,13 +171,13 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     radius = None if noise_bound is None \
         else float(noise_bound) * np.sqrt(sample_set.size)
 
-    rho = config.penalty
+    rho = PENALTY
     g = np.zeros(n, dtype=complex)
     g[obs0] = observed
     bg = op.forward(g)
     z = np.zeros_like(bg)
     lam = np.zeros_like(bg)
-    abs_eps = config.abs_tol * np.sqrt(d1 * d2)
+    abs_eps = ABS_TOL * np.sqrt(d1 * d2)
     primal = dual = np.inf
     converged = False
     it = 0

@@ -166,7 +166,7 @@ def test_phase_without_workers_is_usage_error(workers, tmp_path, capsys):
 @pytest.mark.parametrize("command, config", [
     # every trial would be a caught LinAlgError, giving a silent 0 rate
     ("phase", {"n": 21, "d": 10, "sample_counts": [15],
-               "sparsity_levels": [1], "trials": 1, "penalty": float("nan")}),
+               "sparsity_levels": [1], "trials": 1, "rel_tol": float("nan")}),
     ("complete", {"structure": "hankel", "n": 21, "d": 10, "k": 1, "m": 15,
                   "max_iters": 2.5}),
     ("phase", {"n": 21, "d": 10, "sample_counts": [15],
@@ -189,17 +189,17 @@ def test_phase_without_workers_is_usage_error(workers, tmp_path, capsys):
     ("phase", {"n": 21, "d": 10, "sample_counts": [15],
                "sparsity_levels": [1], "trials": 1, "min_separation": "x"}),
     ("complete", {"structure": "hankel", "n": 21, "d": 10, "k": 1, "m": 15,
-                  "penalty": True}),
+                  "rel_tol": True}),
     # no noise level at all would print only the header row
     ("noise-sweep", {"n": 21, "d": 10, "k": 1, "m": 15, "trials": 1,
                      "etas": []}),
-], ids=["phase-nan-penalty", "complete-fractional-max-iters",
+], ids=["phase-nan-rel-tol", "complete-fractional-max-iters",
         "phase-fractional-trials", "noise-sweep-zero-trials",
         "noise-sweep-fractional-trials", "noise-sweep-scalar-etas",
         "complete-fractional-m", "phase-scalar-sample-counts",
         "synth-string-n", "complete-unknown-weighting",
         "complete-list-config", "phase-string-min-separation",
-        "complete-bool-penalty", "noise-sweep-empty-etas"])
+        "complete-bool-rel-tol", "noise-sweep-empty-etas"])
 def test_non_finite_or_fractional_config_is_usage_error(command, config,
                                                          tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -361,6 +361,10 @@ def test_phase_golden_output_bytes_with_a_pool(tmp_path):
      {"structure": "hankel", "n": 21, "d": 10, "k": 2, "m": 12,
       "max_iters": 10}),
     ("validate-basis", "k", {"structure": "hankel", "n": 21, "d": 10, "k": 2}),
+    # success is the experiment's fixed threshold, no solver setting
+    ("noise-sweep", "success_threshold",
+     {"n": 21, "d": 10, "k": 1, "m": 15, "trials": 1,
+      "success_threshold": 0.5}),
 ])
 def test_key_only_another_command_reads_is_usage_error(command, key, config,
                                                        tmp_path, capsys):

@@ -96,6 +96,13 @@ def test_phase_grid_validation():
         PhaseGrid((20.0,), (2,))
     with pytest.raises(ValueError):
         PhaseGrid((20,), (2.5,))
+    # bools are Integral, but True would sample M=1 or run one trial
+    for counts, levels, bad in (((20,), (2,), {"trials": True}),
+                                ((True,), (2,), {}), ((20,), (True,), {}),
+                                ((20,), (2,), {"pencil": True}),
+                                ((20,), (2,), {"base_seed": False})):
+        with pytest.raises(ValueError):
+            PhaseGrid(counts, levels, **bad)
     PhaseGrid((np.int64(20),), (np.int32(2),), trials=np.int64(2),
               pencil=np.int64(59))
     with pytest.raises(ValueError):

@@ -61,3 +61,17 @@ def test_every_export_has_a_reader(name):
     unread = [n for n in getattr(module, "__all__", ())
               if n not in loaded and f"{name}.{n}" not in CRITERIA_ONLY]
     assert not unread, f"wlift.{name}.__all__ names nothing reads: {unread}"
+
+
+def test_complete_reads_every_solver_setting():
+    # a SolverConfig field complete() never reads is a knob that does nothing
+    tree = ast.parse((ROOT / "src" / "wlift" / "solver.py").read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    settings = {node.target.id for node in defs["SolverConfig"].body
+                if isinstance(node, ast.AnnAssign)}
+    read = {node.attr for node in ast.walk(defs["complete"])
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "config"}
+    assert settings, "SolverConfig declares no fields"
+    assert settings <= read, f"complete() never reads {sorted(settings - read)}"

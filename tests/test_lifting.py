@@ -13,12 +13,20 @@ def random_complex(rng, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
+def dense_element(basis, k):
+    """A_k as a dense d1 x d2 matrix: 1/sqrt(omega_k) on its cells."""
+    at = basis.element == k
+    a = np.zeros(basis.dims)
+    a[basis.rows[at], basis.cols[at]] = 1.0 / np.sqrt(basis.support_counts[k])
+    return a
+
+
 def test_hankel_smallest_nontrivial():
     basis = hankel_basis(3, 2)
     assert basis.dims == (2, 2)
     np.testing.assert_array_equal(basis.support_counts, [1, 2, 1])
     np.testing.assert_allclose(basis.coefficients, [1, np.sqrt(2), 1])
-    a2 = basis.element_dense(1)
+    a2 = dense_element(basis, 1)
     np.testing.assert_allclose(a2, [[0, 1 / np.sqrt(2)], [1 / np.sqrt(2), 0]])
 
 
@@ -47,6 +55,10 @@ def test_hankel_rejects_bad_pencil():
         hankel_basis(21, np.float64(10.0))
     with pytest.raises(ValueError, match="integers"):
         hankel_basis(59, 2.5)
+    # a bool is Integral, but True is no size
+    for n, pencil in ((True, 1), (21, True)):
+        with pytest.raises(ValueError, match="integers"):
+            hankel_basis(n, pencil)
     assert hankel_basis(np.int64(21), np.int64(10)).dims == (10, 12)
 
 
@@ -73,7 +85,8 @@ def test_double_hankel_shapes_and_pattern():
     assert basis.dims == (40, 40)
     basis = double_hankel_basis(3, 2)
     assert basis.dims == (2, 4)
-    r, c = basis.pattern(1)  # x_2
+    at = basis.element == 1  # x_2
+    r, c = basis.rows[at], basis.cols[at]
     cells = set(zip(r.tolist(), c.tolist()))
     assert cells == {(0, 1), (1, 0), (0, 3), (1, 2)}
     assert basis.support_counts[1] == 4
@@ -176,7 +189,7 @@ def test_constructed_bases_validate(make, n, d):
 def test_basis_entry_normalization():
     for basis in (hankel_basis(59, 30), double_hankel_basis(59, 40)):
         for k in range(basis.n):
-            dense = basis.element_dense(k)
+            dense = dense_element(basis, k)
             nz = dense[dense != 0]
             assert nz.size == basis.support_counts[k]
             np.testing.assert_allclose(

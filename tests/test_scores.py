@@ -13,12 +13,20 @@ from wlift.signal import synthesize
 from wlift.weights import WeightPair, identity_weights
 
 
+def dense_element(basis, k):
+    """A_k as a dense d1 x d2 matrix: 1/sqrt(omega_k) on its cells."""
+    at = basis.element == k
+    a = np.zeros(basis.dims)
+    a[basis.rows[at], basis.cols[at]] = 1.0 / np.sqrt(basis.support_counts[k])
+    return a
+
+
 def dense_leverage_scores(basis, sub):
     """Oracle: materialize each basis element and use dense matrix products."""
     u, v = sub.left, sub.right
     out = np.empty(basis.n)
     for k in range(basis.n):
-        a = basis.element_dense(k)
+        a = dense_element(basis, k)
         out[k] = basis.n / sub.rank * max(
             np.linalg.norm(u.conj().T @ a) ** 2,
             np.linalg.norm(a @ v) ** 2)
@@ -68,7 +76,7 @@ def test_right_product_norms_match_dense_definition():
     for basis in (hankel_basis(9, 4), double_hankel_basis(9, 4)):
         g = (rng.standard_normal((basis.dims[1], 5))
              + 1j * rng.standard_normal((basis.dims[1], 5)))
-        dense = [np.linalg.norm(basis.element_dense(k) @ g) ** 2
+        dense = [np.linalg.norm(dense_element(basis, k) @ g) ** 2
                  for k in range(basis.n)]
         np.testing.assert_allclose(_right_product_norms(basis, g), dense,
                                    rtol=1e-12)
@@ -130,8 +138,8 @@ def test_weighted_scores_match_dense_oracle():
         p_l = projection(weights.left_diag, sub.left)
         p_r = projection(weights.right_diag, sub.right)
         dense = [basis.n / sub.rank * max(
-                     np.linalg.norm(p_l @ basis.element_dense(k)) ** 2,
-                     np.linalg.norm(basis.element_dense(k) @ p_r) ** 2)
+                     np.linalg.norm(p_l @ dense_element(basis, k)) ** 2,
+                     np.linalg.norm(dense_element(basis, k) @ p_r) ** 2)
                  for k in range(basis.n)]
         mu = weighted_leverage_scores(basis, weights, sub)
         np.testing.assert_allclose(mu.values, dense, rtol=1e-10)
@@ -173,7 +181,7 @@ def test_lifting_coefficient_matches_element_loop(make, n, d):
     basis = make(n, d)
     total = 0.0
     for k in range(n):
-        rows, _ = basis.pattern(k)
+        rows = basis.rows[basis.element == k]
         total += np.bincount(rows).max() / basis.support_counts[k]
     assert lifting_coefficient(basis) == total
 
@@ -221,7 +229,7 @@ def test_a_norms_match_dense_inner_products(structure, n, d):
     sub = subspace_of(basis, synthesize(random_mixture(n, 3, rng)))
     mu = leverage_scores(basis, sub)
     m = rng.standard_normal(basis.dims) + 1j * rng.standard_normal(basis.dims)
-    inner = np.array([np.sum(basis.element_dense(j) * m)
+    inner = np.array([np.sum(dense_element(basis, j) * m)
                       for j in range(basis.n)])
     omega = basis.support_counts
     k = mu.rank_used
