@@ -68,23 +68,23 @@ def subspace_of(basis: LiftingBasis, x: np.ndarray,
     return SubspacePair(u[:, :k], vh[:k, :].conj().T, k)
 
 
-def _right_product_norms(basis: LiftingBasis, g_right: np.ndarray) -> np.ndarray:
-    """||A_n @ G||_F^2 per element, exact even when pattern rows repeat.
-
-    Row r of A_n G sums G's rows c over element n's cells in row r, so
-    ||A_n G||_F^2 = (1/omega_n) sum Re (G G^H)[c, c'] over the ordered
-    pairs of those cells that share a row (`LiftingBasis.row_pairs`).
+def _side_pairs(basis: LiftingBasis, side: str):
+    """(a, b, element): each factor G's side norms, ||G A_n||_F^2 ("left",
+    H = G^H G) or ||A_n G||_F^2 ("right", H = G G^H), are (1/omega_n) sum
+    Re H[a, b] over element n's pairs. An element's cells have distinct
+    columns, so the left pairs are each cell's row with itself; the right
+    pairs are its same-row cell pairs (`LiftingBasis.row_pairs`).
     """
-    cols_a, cols_b, element = basis.row_pairs
-    pair_vals = (g_right @ g_right.conj().T)[cols_a, cols_b].real
-    return (np.bincount(element, weights=pair_vals, minlength=basis.n)
+    if side == "left":
+        return basis.rows, basis.rows, basis.element
+    return basis.row_pairs
+
+
+def _side_norms(basis: LiftingBasis, side: str, h: np.ndarray) -> np.ndarray:
+    """Per-element side norms from the side's Hermitian Gram matrix h."""
+    a, b, element = _side_pairs(basis, side)
+    return (np.bincount(element, weights=h[a, b].real, minlength=basis.n)
             / basis.support_counts)
-
-
-def _left_product_norms(basis: LiftingBasis, g_left: np.ndarray) -> np.ndarray:
-    """||G @ A_n||_F^2 per element; pattern columns are distinct by condition 4."""
-    col_sq = np.sum(np.abs(g_left) ** 2, axis=0)
-    return basis.element_sum(col_sq[basis.rows]) / basis.support_counts
 
 
 def _check_subspace(basis: LiftingBasis, subspace: SubspacePair) -> None:
@@ -95,13 +95,12 @@ def _check_subspace(basis: LiftingBasis, subspace: SubspacePair) -> None:
 def leverage_scores(basis: LiftingBasis, subspace: SubspacePair) -> ScoreVector:
     """Unweighted scores (N/K) * max(||U^H A_n||_F^2, ||A_n V||_F^2).
 
-    The second argument of the max is evaluated with V itself (d2 x K);
-    the conjugate-transpose variant is dimensionally inconsistent for the
-    lifted shapes handled here.
+    These equal the side norms of the projectors U U^H and V V^H.
     """
     _check_subspace(basis, subspace)
-    left = _left_product_norms(basis, subspace.left.conj().T)
-    right = _right_product_norms(basis, subspace.right)
+    u, v = subspace.left, subspace.right
+    left = _side_norms(basis, "left", u @ u.conj().T)
+    right = _side_norms(basis, "right", v @ v.conj().T)
     vals = basis.n / subspace.rank * np.maximum(left, right)
     return ScoreVector(vals, subspace.rank)
 
@@ -113,7 +112,8 @@ def _side_projector(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
     P = W^H Q (Q^H W W^H Q)^-1 Q^H W for the real weight diagonal w, with
     Q = U for side "left" and Q = V for side "right". W^H Q is a row
     scaling of Q, and P is an orthogonal projector. The norms are
-    ||P A_n||_F^2 ("left") or ||A_n P||_F^2 ("right"). Raises
+    ||P A_n||_F^2 ("left") or ||A_n P||_F^2 ("right"), read by
+    `_side_norms` from P itself, since P^H P = P P^H = P. Raises
     SingularWeightsError when the K x K Gram matrix is numerically singular.
     """
     wq = w[:, None] * q
@@ -123,8 +123,7 @@ def _side_projector(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
         raise SingularWeightsError(
             f"{side} weight Gram matrix is ill-conditioned (cond={cond:.3e})")
     proj = wq @ np.linalg.solve(gram, wq.conj().T)
-    norms = _left_product_norms if side == "left" else _right_product_norms
-    return proj, norms(basis, proj)
+    return proj, _side_norms(basis, side, proj)
 
 
 def weighted_leverage_scores(basis: LiftingBasis, weights: WeightPair,
@@ -163,7 +162,7 @@ def probability_floor(scores: ScoreVector, r_l: float, n: int,
     c = 192^2 (b1 + 1) with b1 >= 3; the inner max keeps the floor at 1/N
     when the score term is negligible.
     """
-    if b1 < 3:
+    if not b1 >= 3:
         raise ValueError("b1 must be at least 3")
     c = 192.0 ** 2 * (b1 + 1.0)
     k = scores.rank_used

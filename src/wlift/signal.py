@@ -37,7 +37,7 @@ class Mixture:
     components: Tuple[Tuple[complex, complex], ...]
 
     def __init__(self, n_samples: int, components: Sequence[Tuple[complex, complex]]):
-        if n_samples < 1 or n_samples % 1:
+        if isinstance(n_samples, bool) or n_samples < 1 or n_samples % 1:
             raise ValueError(f"need a whole number of samples, at least one, "
                              f"got N={n_samples}")
         comps = tuple((complex(b), complex(z)) for b, z in components)
@@ -114,7 +114,9 @@ def add_noise(y: np.ndarray, amplitude_bound: float, seed: int = 0) -> np.ndarra
 
 def sample_uniform_m(n: int, m: int, seed: int = 0) -> SampleSet:
     """Draw a uniformly random M-subset of {1..N}."""
-    if not 1 <= m <= n:
+    _check_count("N", n)
+    _check_count("M", m)
+    if m > n:
         raise ValueError(f"need 1 <= M <= N, got M={m}, N={n}")
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(n, size=m, replace=False)) + 1

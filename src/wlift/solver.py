@@ -78,7 +78,7 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     U_k diag(1 - tau / s_k) U_k^H B over the pairs with s_k > tau.
     A real m stays real, so its Gram matrix takes the real `eigh`.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("threshold must be nonnegative")
     m = np.asarray(m)
     tall = m.shape[0] > m.shape[1]

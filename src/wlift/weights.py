@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .lifting import LiftingBasis
-from .scores import SingularWeightsError, _side_projector, subspace_of
+from .scores import SingularWeightsError, _side_pairs, _side_projector, subspace_of
 from .signal import SampleSet
 from .solver import SolverConfig, complete
 
@@ -77,6 +77,7 @@ TUNE_REL_TOL = 1e-6         # stop after a sweep with a smaller relative gain
 STEP_FACTORS = (0.5, 2.0)
 SCREEN_REL_TOL = 1e-9       # re-solve steps scored this close to improving
 SCREEN_SPAN = 8             # steps scored per closed-form pass, at first
+GAIN_REL_TOL = 1e-12        # a step must gain more than rounding to be kept
 
 
 @dataclass(frozen=True)
@@ -91,15 +92,11 @@ class TuneResult:
 def _pair_map(basis: LiftingBasis, side: str, unobserved: np.ndarray):
     """(a, b, m): the unobserved side norms are Re(P[a, b]) @ m.
 
-    P is an orthogonal projector, so ||P A_n||_F^2 sums diag(P) over the
-    rows of element n's cells and ||A_n P||_F^2 sums P[c, c'] over its
-    `row_pairs`, both divided by omega_n. (a, b) lists those entries once
+    The side norms `_side_norms` reads from P sum Re P over the side's
+    `_side_pairs`, divided by omega_n. (a, b) lists those entries once
     each; m[p, j] weighs entry p into the j-th unobserved element.
     """
-    if side == "left":
-        a, b, element = basis.rows, basis.rows, basis.element
-    else:
-        a, b, element = basis.row_pairs
+    a, b, element = _side_pairs(basis, side)
     d = basis.dims[0 if side == "left" else 1]
     column = np.full(basis.n, -1)
     column[unobserved - 1] = np.arange(unobserved.size)
@@ -137,11 +134,12 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
     """Coordinate descent on the unobserved weighted-score sum.
 
     Starts from identity, steps one diagonal entry at a time by x0.5 then
-    x2, and keeps strict improvements. The x2 after a kept x0.5 restores
-    a value that already lost, so an entry stays in [2^-TUNE_SWEEPS,
-    2^TUNE_SWEEPS]. The pilot subspace stays fixed throughout; only the
-    oblique projections move with the weights, and a step on one side
-    moves only that side's projection.
+    x2, and keeps a step only if it gains more than GAIN_REL_TOL of the
+    objective: a rounding-level move, as on a flat side, is no gain. The
+    x2 after a kept x0.5 restores a value that already lost, so an entry
+    stays in [2^-TUNE_SWEEPS, 2^TUNE_SWEEPS]. The pilot subspace stays
+    fixed throughout; only the oblique projections move with the weights,
+    and a step on one side moves only that side's projection.
 
     Each side keeps its projector P for the kept weights, and vectorised
     passes score the side's next steps from it in closed form (a rank-one
@@ -206,7 +204,7 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
                         val = objective(trial[1], other)
                     except SingularWeightsError:
                         val = np.inf
-                    if val < best:
+                    if val < best * (1.0 - GAIN_REL_TOL):
                         best, kept[side] = val, trial
                         step, span = k + 1, SCREEN_SPAN
                         break

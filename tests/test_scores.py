@@ -5,7 +5,7 @@ import pytest
 
 from wlift.experiments import random_mixture
 from wlift.lifting import double_hankel_basis, hankel_basis
-from wlift.scores import (SingularWeightsError, _right_product_norms,
+from wlift.scores import (SingularWeightsError, _side_norms,
                           a_norm_2, a_norm_inf, leverage_scores, lifting_coefficient,
                           probability_floor, scores_to_text, subspace_of,
                           weighted_leverage_scores)
@@ -69,17 +69,23 @@ def test_leverage_scores_match_dense_oracle():
                                    rtol=1e-10)
 
 
-def test_right_product_norms_match_dense_definition():
-    # double-Hankel rows repeat within an element (one cell per block), so
-    # cross terms between same-row cells must be counted
+def test_side_norms_match_dense_definition():
+    # ||G A_n||_F^2 from G^H G and ||A_n G||_F^2 from G G^H; double-Hankel
+    # rows repeat within an element (one cell per block), so cross terms
+    # between same-row cells must be counted on the right
     rng = np.random.default_rng(8)
     for basis in (hankel_basis(9, 4), double_hankel_basis(9, 4)):
-        g = (rng.standard_normal((basis.dims[1], 5))
-             + 1j * rng.standard_normal((basis.dims[1], 5)))
-        dense = [np.linalg.norm(dense_element(basis, k) @ g) ** 2
+        d1, d2 = basis.dims
+        gl = rng.standard_normal((5, d1)) + 1j * rng.standard_normal((5, d1))
+        gr = rng.standard_normal((d2, 5)) + 1j * rng.standard_normal((d2, 5))
+        left = [np.linalg.norm(gl @ dense_element(basis, k)) ** 2
+                for k in range(basis.n)]
+        right = [np.linalg.norm(dense_element(basis, k) @ gr) ** 2
                  for k in range(basis.n)]
-        np.testing.assert_allclose(_right_product_norms(basis, g), dense,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            _side_norms(basis, "left", gl.conj().T @ gl), left, rtol=1e-12)
+        np.testing.assert_allclose(
+            _side_norms(basis, "right", gr @ gr.conj().T), right, rtol=1e-12)
 
 
 def test_full_subspace_scores_bounded():
@@ -206,8 +212,9 @@ def test_probability_floor_saturation_and_floor():
     tiny = type(mu)(values=mu.values * 1e-12, rank_used=mu.rank_used)
     np.testing.assert_allclose(probability_floor(tiny, 1e-6, 9),
                                np.full(9, 1 / 9))
-    with pytest.raises(ValueError):
-        probability_floor(mu, 1.0, 9, b1=2.0)
+    for b1 in (2.0, float("nan")):  # NaN fails a "b1 < 3" guard
+        with pytest.raises(ValueError):
+            probability_floor(mu, 1.0, 9, b1=b1)
 
 
 def test_a_norms_zero_matrix():

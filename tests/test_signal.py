@@ -45,6 +45,8 @@ def test_mixture_rejects_degenerate():
     for n in (2.5, float("nan")):  # not truncated to N = 2, nor passed on
         with pytest.raises(ValueError):
             Mixture(n, [(1, 1)])
+    with pytest.raises(ValueError):  # a bool is no sample count
+        Mixture(True, [(1, 1j)])
     assert Mixture(5.0, [(1, 1)]).n_samples == 5
 
 
@@ -81,8 +83,9 @@ def test_uniform_m_full_and_cardinality():
     assert sample_uniform_m(59, 30, seed=1).size == 30
     with pytest.raises(ValueError):
         sample_uniform_m(5, 6, seed=0)
-    with pytest.raises(ValueError):
-        sample_uniform_m(5, 0, seed=0)
+    for n, m in ((5, 0), (True, True), (5, True), (5.0, 2), (5, 2.0)):
+        with pytest.raises(ValueError):
+            sample_uniform_m(n, m, seed=0)
 
 
 def test_uniform_m_marginal_frequency():

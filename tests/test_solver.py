@@ -37,8 +37,9 @@ def test_svt_zero_threshold_is_identity():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     np.testing.assert_allclose(svt(m, 0.0), m, atol=1e-12)
-    with pytest.raises(ValueError):
-        svt(m, -1.0)
+    for tau in (-1.0, float("nan")):  # NaN fails a "tau < 0" guard
+        with pytest.raises(ValueError):
+            svt(m, tau)
 
 
 def test_svt_full_shrinkage_gives_zero():

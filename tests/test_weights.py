@@ -9,8 +9,8 @@ from wlift.scores import (GRAM_CONDITION_LIMIT, SingularWeightsError,
                           SubspacePair, subspace_of, weighted_leverage_scores)
 from wlift.signal import SampleSet, sample_uniform_m, synthesize
 from wlift.solver import SolverConfig, relative_error
-from wlift.weights import (STEP_FACTORS, TUNE_REL_TOL, TUNE_SWEEPS,
-                           WeightPair, _pair_map, _side_projector,
+from wlift.weights import (GAIN_REL_TOL, STEP_FACTORS, TUNE_REL_TOL,
+                           TUNE_SWEEPS, WeightPair, _pair_map, _side_projector,
                            _stepped_norms,
                            identity_weights, tune_diagonal_weights,
                            two_stage_pipeline)
@@ -25,7 +25,8 @@ def reference_tune(basis, sset, sub):
     """The tuner as a plain loop: one weighted_leverage_scores per step.
 
     Returns (weights or None, objective, sweeps, fell_back); a step whose
-    Gram matrix is numerically singular scores +inf and is never kept.
+    Gram matrix is numerically singular scores +inf and is never kept, and
+    a step must gain more than GAIN_REL_TOL of the objective to be kept.
     """
     diags = [np.ones(d) for d in basis.dims]
 
@@ -46,7 +47,7 @@ def reference_tune(basis, sset, sub):
                     kept = diag[i]
                     diag[i] = kept * fac
                     val = objective()
-                    if val < best:
+                    if val < best * (1.0 - GAIN_REL_TOL):
                         best = val
                     else:
                         diag[i] = kept
@@ -201,6 +202,20 @@ def test_tune_baseline_is_identity_score_sum(structure, n, d):
         assert not res.fell_back
         assert res.baseline == unobserved_score_sum(
             basis, identity_weights(basis.dims), sub, sset)
+
+
+def test_tune_keeps_a_flat_side_at_identity():
+    # a full-rank pilot (K = d1) makes the left projector the identity at
+    # every weight, so left steps move the objective only by rounding and
+    # must not be kept
+    basis = hankel_basis(21, 10)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+    sub = subspace_of(basis, x, rank_tol=0.0)
+    assert sub.rank == basis.dims[0]
+    for seed in range(40):
+        res = tune_diagonal_weights(basis, sample_uniform_m(21, 10, seed), sub)
+        assert np.ptp(res.weights.left_diag) == 0, seed
 
 
 def test_tune_uniform_sampling_keeps_identity_stationary():
