@@ -20,8 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .lifting import LiftingBasis, double_hankel_basis, hankel_basis, lift
-from .signal import (Mixture, _check_count, add_noise, project,
-                     sample_uniform_m, synthesize)
+from .signal import (Mixture, _check_count, _check_noise_bound, add_noise,
+                     project, sample_uniform_m, synthesize)
 from .solver import SolverConfig, complete, relative_error
 from .weights import identity_weights, two_stage_pipeline
 
@@ -92,7 +92,7 @@ class SuccessSurface:
         expected = (len(self.grid.sparsity_levels), len(self.grid.sample_counts))
         if self.rates.shape != expected:
             raise ValueError(f"rate matrix must have shape {expected}")
-        if np.any(self.rates < 0) or np.any(self.rates > 1):
+        if not np.all((self.rates >= 0) & (self.rates <= 1)):  # NaN fails
             raise ValueError("success rates must lie in [0, 1]")
 
 
@@ -232,6 +232,8 @@ def noise_sweep(n: int, structure: str, pencil: int, k: int, m: int,
     _check_count("trials", trials)
     if len(etas) == 0:
         raise ValueError("need at least one noise level")
+    for eta in etas:  # all before the first solve
+        _check_noise_bound(eta)
     basis = build_basis(structure, n, pencil)
     totals = [0.0] * len(etas)
     for t in range(trials):

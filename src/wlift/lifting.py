@@ -6,17 +6,18 @@ most one nonzero per column. The lift maps a length-N vector to
 sum_n a_n * x_n * A_n with a_n = sqrt(omega_n), so every cell of element n
 holds x_n; the back projection inverts it coordinate-wise. A basis may
 mark some cells as conjugating, in which case those cells carry conj(x_n)
-and the lift is real-linear instead of complex-linear.
+and the lift is real-linear instead of complex-linear; a Hankel basis
+marks none.
 
-A basis is three flat per-cell arrays (row, column, element), grouped by
-element; the Hankel builders compute them from grid index arithmetic.
-`LiftOperator` is the one lift operator: a gather table over the (re, im)
-floats of x, so the lift is one gather and its adjoint one `bincount`. It
-carries optional per-cell weights, which is how the solver applies
-diagonal weight pairs. A centro-Hermitian weighted lift (the double-Hankel
-one with mirror-symmetric weights) also has a real form, the same class
-with a two-term table: one fixed unitary change of basis on each side
-makes the lifted matrix real.
+A basis is four flat per-cell arrays (row, column, element, conjugation
+mask), grouped by element; the Hankel builders compute them from grid
+index arithmetic. `LiftOperator` is the one lift operator: a gather table
+over the (re, im) floats of x, so the lift is one gather and its adjoint
+one `bincount` in table order. It carries optional per-cell weights,
+which is how the solver applies diagonal weight pairs. A centro-Hermitian
+weighted lift (the double-Hankel one with mirror-symmetric weights) also
+has a real form, the same class with a two-term table: one fixed unitary
+change of basis on each side makes the lifted matrix real.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ __all__ = [
 class LiftingBasis:
     """Coordinate-form lifting basis.
 
-    rows/cols/element are parallel flat arrays: entry j says element
-    `element[j]` (0-based) has a nonzero at (rows[j], cols[j]) of value
-    1/sqrt(omega) for that element. Entries are grouped by element, in
-    the order the adjoint's `bincount` adds them.
+    rows/cols/element/conjugated are parallel flat arrays: entry j says
+    element `element[j]` (0-based) has a nonzero at (rows[j], cols[j]) of
+    value 1/sqrt(omega) for that element, and conjugated[j] whether that
+    cell carries conj(x_n). Entries are grouped by element, in the order
+    the per-element sums (`element_sum`, the scores) add them.
     """
 
     n: int
@@ -58,12 +60,7 @@ class LiftingBasis:
     cols: np.ndarray
     element: np.ndarray
     support_counts: np.ndarray  # omega_n
-    conjugated: Optional[np.ndarray] = None  # flat mask of conjugating cells
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """a_n = sqrt(omega_n), which makes the lift the plain structured matrix."""
-        return np.sqrt(self.support_counts)
+    conjugated: np.ndarray  # flat mask of conjugating cells
 
     def element_sum(self, vals: np.ndarray) -> np.ndarray:
         """Sum real per-cell values (aligned with rows/cols) over each element."""
@@ -90,11 +87,6 @@ class LiftingBasis:
         ia, ib = order[a], order[np.repeat(first, group) + rank]
         return self.cols[ia], self.cols[ib], self.element[ia]
 
-    @cached_property
-    def unit_lift(self) -> LiftOperator:
-        """The unweighted `LiftOperator` that `lift` and `adjoint` apply."""
-        return LiftOperator(self)
-
 
 class LiftOperator:
     """The lift with optional positive per-cell weights, as one gather table.
@@ -106,42 +98,26 @@ class LiftOperator:
     d1 x 2 d2 float view, with the imaginary weight negated on conjugating
     cells; `real_form` is a two-term table. So forward is one gather and
     adjoint, the adjoint for the real inner products, one signed
-    `bincount`. Patterns are disjoint, so adjoint(forward(.)) is diagonal
-    with entries normal_diag, the per-element sums of squared cell weights
-    (omega_n for unit cells).
+    `bincount` that adds the table's terms in table order: grid order,
+    term 0 then term 1, positions outside every pattern adding 0 * m.
+    Patterns are disjoint, so adjoint(forward(.)) is diagonal with entries
+    normal_diag, the per-element sums of squared cell weights (omega_n for
+    unit cells).
     """
 
     def __init__(self, basis: LiftingBasis, cell: Optional[np.ndarray] = None):
         d1, d2 = basis.dims
         cell = np.ones(basis.rows.size) if cell is None else cell
-        # not the basis itself: its cached unit_lift would make a cycle
-        self.dims, self.n = basis.dims, basis.n
+        self.dims, self.n, self.dtype = basis.dims, basis.n, complex
         self.normal_diag = basis.element_sum(cell ** 2)
-        flat = basis.rows * d2 + basis.cols  # row-major grid positions
-        # each cell's (re, im) floats in the float view, in basis order;
-        # positions outside every pattern read 0 * v[0]
-        at = (2 * flat[:, None] + [0, 1]).ravel()
-        im = cell if basis.conjugated is None \
-            else np.where(basis.conjugated, -cell, cell)
-        source = np.zeros((1, d1, 2 * d2), dtype=np.int64)
-        coef = np.zeros((1, d1, 2 * d2))
-        source.ravel()[at] = (2 * basis.element[:, None] + [0, 1]).ravel()
-        coef.ravel()[at] = np.stack((cell, im), axis=1).ravel()
-        # the adjoint adds each element's cells in basis order, which is
-        # grid order when the cells cover the grid and every element's
-        # cells run in grid order (Hankel, but not double-Hankel)
-        in_grid_order = basis.rows.size == d1 * d2 and np.all(
-            np.diff(flat)[np.diff(basis.element) == 0] > 0)
-        self._use_table(source, coef, None if in_grid_order else at)
-
-    def _use_table(self, source: np.ndarray, coef: np.ndarray,
-                   order: Optional[np.ndarray] = None) -> None:
-        """Adopt a table; order lists its terms in the adjoint's adding order."""
-        self.source, self.coef = source, coef
-        # a complex lift's table spans the float view of its d1 x d2 matrix
-        self.dtype = complex if source.shape[2] > self.dims[1] else float
-        self._order = order
-        self._bins = source.ravel() if order is None else source.ravel()[order]
+        # each cell's (re, im) floats in the float view; positions outside
+        # every pattern read 0 * v[0]
+        at = (2 * (basis.rows * d2 + basis.cols)[:, None] + [0, 1]).ravel()
+        self.source = np.zeros((1, d1, 2 * d2), dtype=np.int64)
+        self.coef = np.zeros((1, d1, 2 * d2))
+        self.source.ravel()[at] = (2 * basis.element[:, None] + [0, 1]).ravel()
+        self.coef.ravel()[at] = np.stack(
+            (cell, np.where(basis.conjugated, -cell, cell)), axis=1).ravel()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         terms = np.ascontiguousarray(x, dtype=complex).view(float).take(
@@ -152,11 +128,8 @@ class LiftOperator:
 
     def adjoint(self, m: np.ndarray) -> np.ndarray:
         """Adjoint of forward; m is a d1 x d2 array of forward's dtype."""
-        terms = (self.coef * np.ascontiguousarray(m, dtype=self.dtype)
-                 .view(float)).ravel()
-        if self._order is not None:
-            terms = terms[self._order]
-        return np.bincount(self._bins, weights=terms,
+        m = np.ascontiguousarray(m, dtype=self.dtype).view(float)
+        return np.bincount(self.source.ravel(), weights=(self.coef * m).ravel(),
                            minlength=2 * self.n).view(complex)
 
     def real_form(self) -> Optional[LiftOperator]:
@@ -184,9 +157,11 @@ class LiftOperator:
         w, sw = coef[:, :d2 // 2, 0], coef[:, :d2 // 2, 1]
         flip = np.flipud
         real = copy.copy(self)
-        real._use_table(
-            np.stack((np.hstack((re, flip(re))), np.hstack((flip(im), im)))),
-            np.stack((np.hstack((w, flip(w))), np.hstack((flip(sw), -sw)))))
+        real.dtype = float
+        real.source = np.stack((np.hstack((re, flip(re))),
+                                np.hstack((flip(im), im))))
+        real.coef = np.stack((np.hstack((w, flip(w))),
+                              np.hstack((flip(sw), -sw))))
         return real
 
 
@@ -212,9 +187,9 @@ def make_basis(n: int, dims: Tuple[int, int], rows: np.ndarray,
 
     Cell j of element `element[j]` (0-based) sits at (rows[j], cols[j]).
     A stable sort groups the cells by element, so each element keeps its
-    cells in the order given. `conjugated`, when given, is a flat boolean
-    mask over the same cells marking those that carry the conjugate of
-    their coordinate instead of the coordinate itself.
+    cells in the order given. `conjugated` is a flat boolean mask over the
+    same cells marking those that carry the conjugate of their coordinate
+    instead of the coordinate itself; None marks none.
     """
     element = np.asarray(element, dtype=np.int64)
     if np.any((element < 0) | (element >= n)):
@@ -225,14 +200,13 @@ def make_basis(n: int, dims: Tuple[int, int], rows: np.ndarray,
     rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
     if rows.shape != element.shape or cols.shape != element.shape:
         raise ValueError("rows, cols and element must align")
+    mask = np.zeros(element.shape, dtype=bool) if conjugated is None \
+        else np.asarray(conjugated, dtype=bool)
+    if mask.shape != element.shape:
+        raise ValueError("conjugation mask must align with the cells")
     order = np.argsort(element, kind="stable")
-    if conjugated is not None:
-        conjugated = np.asarray(conjugated, dtype=bool)
-        if conjugated.shape != element.shape:
-            raise ValueError("conjugation mask must align with the cells")
-        conjugated = conjugated[order]
     return LiftingBasis(n, dims, rows[order], cols[order], element[order],
-                        counts, conjugated)
+                        counts, mask[order])
 
 
 def _hankel_grid(n: int, pencil: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -282,7 +256,7 @@ def lift(basis: LiftingBasis, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (basis.n,):
         raise ValueError(f"expected length-{basis.n} vector, got {x.shape}")
-    return basis.unit_lift.forward(x)
+    return LiftOperator(basis).forward(x)
 
 
 def adjoint(basis: LiftingBasis, m: np.ndarray) -> np.ndarray:
@@ -291,7 +265,7 @@ def adjoint(basis: LiftingBasis, m: np.ndarray) -> np.ndarray:
     if m.shape != basis.dims:
         raise ValueError(f"expected {basis.dims} matrix, got {m.shape}")
     # <A_n, M> / a_n is the sum over element n's cells divided by omega_n
-    return basis.unit_lift.adjoint(m) / basis.support_counts
+    return LiftOperator(basis).adjoint(m) / basis.support_counts
 
 
 def _repeated(keys: np.ndarray) -> np.ndarray:

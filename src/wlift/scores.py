@@ -46,7 +46,17 @@ class SubspacePair:
 
     left: np.ndarray          # d1 x K, orthonormal columns
     right: np.ndarray         # d2 x K, orthonormal columns
-    rank: int
+
+    def __post_init__(self):
+        if self.left.ndim != 2 or self.right.ndim != 2 \
+                or self.left.shape[1] != self.right.shape[1]:
+            raise ValueError("subspace factors must be 2-D with equal "
+                             "column counts")
+
+    @property
+    def rank(self) -> int:
+        """K, the column count of both factors."""
+        return self.left.shape[1]
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,7 @@ def subspace_of(basis: LiftingBasis, x: np.ndarray,
     if s.size == 0 or s[0] == 0:
         raise ValueError("zero matrix has no subspace")
     k = int(np.count_nonzero(s > rank_tol * s[0]))
-    return SubspacePair(u[:, :k], vh[:k, :].conj().T, k)
+    return SubspacePair(u[:, :k], vh[:k, :].conj().T)
 
 
 def _side_pairs(basis: LiftingBasis, side: str):

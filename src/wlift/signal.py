@@ -60,7 +60,8 @@ class SampleSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        if self.universe < 0 or self.universe % 1:
+        if isinstance(self.universe, bool) or self.universe < 0 \
+                or self.universe % 1:
             raise ValueError(f"universe must be a whole number, at least "
                              f"zero, got {self.universe}")
         idx = np.asarray(self.indices)
@@ -100,8 +101,7 @@ def add_noise(y: np.ndarray, amplitude_bound: float, seed: int = 0) -> np.ndarra
 
     Deterministic for a fixed seed; the zero-radius case returns `y` unchanged.
     """
-    if not amplitude_bound >= 0:
-        raise ValueError(f"noise bound must be nonnegative, got {amplitude_bound}")
+    _check_noise_bound(amplitude_bound)
     y = np.asarray(y, dtype=complex)
     if amplitude_bound == 0:
         return y.copy()
@@ -138,6 +138,12 @@ def mixture_to_text(mixture: Mixture) -> str:
     for b, z in mixture.components:
         out.write(f"{b.real!r} {b.imag!r} {z.real!r} {z.imag!r}\n")
     return out.getvalue()
+
+
+def _check_noise_bound(eta) -> None:
+    """Reject a noise bound that is negative, NaN or infinite."""
+    if not 0 <= eta < np.inf:
+        raise ValueError(f"noise bound must be finite and nonnegative, got {eta}")
 
 
 def _check_count(name: str, count) -> None:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .lifting import LiftingBasis, LiftOperator
-from .signal import SampleSet, _check_count
+from .signal import SampleSet, _check_count, _check_noise_bound
 
 if TYPE_CHECKING:
     from .weights import WeightPair
@@ -136,9 +136,8 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     ABS_TOL * sqrt(d1 d2) + config.rel_tol * (an iterate's norm); hitting
     config.max_iters first returns converged=False rather than raising.
     """
-    if noise_bound is not None and not 0 <= noise_bound < np.inf:
-        raise ValueError("noise bound must be finite and nonnegative, "
-                         f"got {noise_bound}")
+    if noise_bound is not None:
+        _check_noise_bound(noise_bound)
     observed = np.asarray(observed, dtype=complex)
     if sample_set.size == 0:
         raise ValueError("cannot complete from an empty sample set")

@@ -156,9 +156,9 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
     """
     d1, d2 = basis.dims
     u, v = pilot_subspace.left, pilot_subspace.right
-    if u.ndim != 2 or v.ndim != 2 or u.shape[0] != d1 or v.shape[0] != d2:
+    if (u.shape[0], v.shape[0]) != (d1, d2):
         raise ValueError("pilot subspace dimensions do not match the basis")
-    if min(pilot_subspace.rank, u.shape[1], v.shape[1]) < 1:
+    if pilot_subspace.rank < 1:
         raise ValueError("pilot subspace has rank 0")
     unobserved = sample_set.complement()
     identity = identity_weights((d1, d2)).frobenius_normalized()

@@ -193,13 +193,17 @@ def test_phase_without_workers_is_usage_error(workers, tmp_path, capsys):
     # no noise level at all would print only the header row
     ("noise-sweep", {"n": 21, "d": 10, "k": 1, "m": 15, "trials": 1,
                      "etas": []}),
+    # JSON's Infinity, caught before the first level's solves
+    ("noise-sweep", {"n": 21, "d": 10, "k": 1, "m": 15, "trials": 1,
+                     "etas": [0.001, float("inf")]}),
 ], ids=["phase-nan-rel-tol", "complete-fractional-max-iters",
         "phase-fractional-trials", "noise-sweep-zero-trials",
         "noise-sweep-fractional-trials", "noise-sweep-scalar-etas",
         "complete-fractional-m", "phase-scalar-sample-counts",
         "synth-string-n", "complete-unknown-weighting",
         "complete-list-config", "phase-string-min-separation",
-        "complete-bool-rel-tol", "noise-sweep-empty-etas"])
+        "complete-bool-rel-tol", "noise-sweep-empty-etas",
+        "noise-sweep-infinite-eta"])
 def test_non_finite_or_fractional_config_is_usage_error(command, config,
                                                          tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -128,6 +128,9 @@ def test_success_surface_shape_check():
         SuccessSurface(grid, np.zeros((2, 3)))
     with pytest.raises(ValueError):
         SuccessSurface(grid, np.full((3, 2), 1.5))
+    # NaN is neither below 0 nor above 1
+    with pytest.raises(ValueError, match="success rates"):
+        SuccessSurface(grid, np.full((3, 2), np.nan))
 
 
 def test_phase_transition_trivial_cell():
@@ -267,6 +270,16 @@ def test_noise_sweep_levels_are_independent():
                     + noise_sweep(*args, [1e-2], trials=2, base_seed=3))
     with pytest.raises(ValueError):
         noise_sweep(*args, [1e-3], trials=0)
+
+
+def test_noise_sweep_checks_every_level_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking every noise level")
+
+    monkeypatch.setattr(experiments, "complete", no_solve)
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="noise bound"):
+            noise_sweep(21, "hankel", 10, 1, 14, [1e-3, bad], trials=3)
 
 
 def test_noise_sweep_rejects_non_integer_trials():

@@ -1,7 +1,10 @@
 import ast
 import importlib
+import inspect
 import pkgutil
+from functools import cached_property
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -53,13 +56,26 @@ def _loaded_names():
     return names
 
 
+def _members(cls):
+    """The public methods and properties a class defines itself."""
+    kinds = (FunctionType, property, cached_property, classmethod,
+             staticmethod)
+    return [f"{cls.__name__}.{n}" for n, v in vars(cls).items()
+            if not n.startswith("_") and isinstance(v, kinds)]
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_export_has_a_reader(name):
-    # an exported name nothing reads is dead API
+    # an exported name, or a method or property of an exported class,
+    # that nothing reads is dead API
     module = importlib.import_module(f"wlift.{name}")
     loaded = _loaded_names()
-    unread = [n for n in getattr(module, "__all__", ())
+    exports = getattr(module, "__all__", ())
+    unread = [n for n in exports
               if n not in loaded and f"{name}.{n}" not in CRITERIA_ONLY]
+    unread += [m for n in exports if inspect.isclass(getattr(module, n))
+               for m in _members(getattr(module, n))
+               if m.rsplit(".", 1)[1] not in loaded]
     assert not unread, f"wlift.{name}.__all__ names nothing reads: {unread}"
 
 

@@ -5,20 +5,14 @@ import pytest
 
 from wlift.experiments import random_mixture
 from wlift.lifting import double_hankel_basis, hankel_basis
-from wlift.scores import (SingularWeightsError, _side_norms,
+from wlift.scores import (SingularWeightsError, SubspacePair, _side_norms,
                           a_norm_2, a_norm_inf, leverage_scores, lifting_coefficient,
                           probability_floor, scores_to_text, subspace_of,
                           weighted_leverage_scores)
 from wlift.signal import synthesize
 from wlift.weights import WeightPair, identity_weights
 
-
-def dense_element(basis, k):
-    """A_k as a dense d1 x d2 matrix: 1/sqrt(omega_k) on its cells."""
-    at = basis.element == k
-    a = np.zeros(basis.dims)
-    a[basis.rows[at], basis.cols[at]] = 1.0 / np.sqrt(basis.support_counts[k])
-    return a
+from oracles import dense_element
 
 
 def dense_leverage_scores(basis, sub):
@@ -51,6 +45,17 @@ def test_subspace_rank_matches_component_count():
 def test_subspace_rejects_zero():
     with pytest.raises(ValueError):
         subspace_of(hankel_basis(3, 2), np.zeros(3))
+
+
+def test_subspace_pair_rank_is_its_column_count():
+    # a stored rank apart from the columns would rescale every score
+    sub = subspace_of(hankel_basis(21, 10), synthesize(random_mixture(
+        21, 3, np.random.default_rng(4))))
+    assert SubspacePair(sub.left, sub.right).rank == 3
+    for left, right in ((sub.left, sub.right[:, :2]),
+                        (sub.left[:, 0], sub.right[:, 0])):
+        with pytest.raises(ValueError, match="column counts"):
+            SubspacePair(left, right)
 
 
 def test_leverage_scores_all_ones_hand_value():

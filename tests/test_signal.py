@@ -64,7 +64,8 @@ def test_add_noise_amplitude_bound_and_determinism():
 
 
 def test_add_noise_rejects_negative_or_nan_bound():
-    for bound in (-0.1, float("nan")):
+    # an infinite bound would return infinite samples
+    for bound in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="noise bound"):
             add_noise(np.zeros(4, dtype=complex), bound, seed=0)
 
@@ -125,9 +126,11 @@ def test_sample_set_invariants():
 
 
 def test_sample_set_rejects_bad_universe():
-    # complement() would die on np.ones(11.5); a negative universe is no set
-    for universe in (10.5, -3):
+    # complement() would die on np.ones(11.5); a negative universe is no
+    # set; True would build a one-index universe
+    for universe in (10.5, -3, True):
         with pytest.raises(ValueError, match="universe"):
             SampleSet(universe, [])
     sset = SampleSet(np.int64(10), [1, 2])
     np.testing.assert_array_equal(sset.complement(), np.arange(3, 11))
+    assert SampleSet(5.0, [1]).universe == 5

@@ -326,8 +326,8 @@ def test_tune_rejects_mismatched_pilot():
     y = synthesize(random_mixture(21, 2, np.random.default_rng(0)))
     sub = subspace_of(basis, y)
     taller = subspace_of(hankel_basis(21, 11), y)
-    swapped = SubspacePair(sub.right, sub.left, sub.rank)
-    empty = SubspacePair(np.zeros((10, 0)), np.zeros((12, 0)), 0)
+    swapped = SubspacePair(sub.right, sub.left)
+    empty = SubspacePair(np.zeros((10, 0)), np.zeros((12, 0)))
     for pilot in (taller, swapped):
         with pytest.raises(ValueError, match="do not match the basis"):
             tune_diagonal_weights(basis, sset, pilot)
@@ -387,7 +387,7 @@ def _nearly_dependent_pilot(eps):
         21, 2, np.random.default_rng(3))))
     u = sub.left
     left = np.column_stack([u[:, 0], u[:, 0] + eps * u[:, 1]])
-    return basis, SubspacePair(left, sub.right, 2)
+    return basis, SubspacePair(left, sub.right)
 
 
 def test_tune_never_keeps_an_ill_conditioned_step(monkeypatch):
