@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 GRAM_CONDITION_LIMIT = 1e12
+RANK_TOL = 1e-8
 
 
 class SingularWeightsError(ValueError):
@@ -44,7 +45,7 @@ class SingularWeightsError(ValueError):
 class SubspacePair:
     """Truncated SVD subspaces of a lifted (possibly weighted) signal."""
 
-    left: np.ndarray          # d1 x K, orthonormal columns
+    left: np.ndarray          # d1 x K, orthonormal columns, K >= 1
     right: np.ndarray         # d2 x K, orthonormal columns
 
     def __post_init__(self):
@@ -52,6 +53,8 @@ class SubspacePair:
                 or self.left.shape[1] != self.right.shape[1]:
             raise ValueError("subspace factors must be 2-D with equal "
                              "column counts")
+        if self.left.shape[1] == 0:
+            raise ValueError("subspace factors have no columns (rank 0)")
 
     @property
     def rank(self) -> int:
@@ -65,16 +68,15 @@ class ScoreVector:
     rank_used: int
 
 
-def subspace_of(basis: LiftingBasis, x: np.ndarray,
-                rank_tol: float = 1e-8) -> SubspacePair:
+def subspace_of(basis: LiftingBasis, x: np.ndarray) -> SubspacePair:
     """SVD subspace of L(x).
 
-    Singular values below rank_tol times the largest are discarded.
+    Singular values below RANK_TOL times the largest are discarded.
     """
     u, s, vh = np.linalg.svd(lift(basis, x), full_matrices=False)
     if s.size == 0 or s[0] == 0:
         raise ValueError("zero matrix has no subspace")
-    k = int(np.count_nonzero(s > rank_tol * s[0]))
+    k = int(np.count_nonzero(s > RANK_TOL * s[0]))
     return SubspacePair(u[:, :k], vh[:k, :].conj().T)
 
 
@@ -180,8 +182,11 @@ def probability_floor(scores: ScoreVector, r_l: float, n: int,
     return np.minimum(1.0, inner / n)
 
 
-def _basis_inner(basis: LiftingBasis, m: np.ndarray) -> np.ndarray:
-    """<A_n, M> for all n."""
+def _basis_inner(basis: LiftingBasis, scores: ScoreVector,
+                 m: np.ndarray) -> np.ndarray:
+    """<A_n, M> for all n, once the A-norms' scores and M are checked."""
+    if np.any(scores.values <= 0):
+        raise ValueError("A-norms need strictly positive scores")
     m = np.asarray(m, dtype=complex)
     if m.shape != basis.dims:
         raise ValueError(f"expected {basis.dims} matrix, got {m.shape}")
@@ -193,9 +198,7 @@ def _basis_inner(basis: LiftingBasis, m: np.ndarray) -> np.ndarray:
 
 def a_norm_inf(basis: LiftingBasis, scores: ScoreVector, m: np.ndarray) -> float:
     """max_n |N <A_n, M> / (K mu_n sqrt(omega_n))|."""
-    if np.any(scores.values <= 0):
-        raise ValueError("A-norms need strictly positive scores")
-    inner = _basis_inner(basis, m)
+    inner = _basis_inner(basis, scores, m)
     denom = scores.rank_used * scores.values * np.sqrt(basis.support_counts)
     return float(np.max(np.abs(basis.n * inner) / denom))
 
@@ -205,9 +208,7 @@ def a_norm_2(basis: LiftingBasis, scores: ScoreVector, m: np.ndarray) -> float:
 
     Exactly sum_n N |<A_n, M>|^2 / (K mu_n omega_n), square-rooted.
     """
-    if np.any(scores.values <= 0):
-        raise ValueError("A-norms need strictly positive scores")
-    inner = _basis_inner(basis, m)
+    inner = _basis_inner(basis, scores, m)
     denom = scores.rank_used * scores.values * basis.support_counts
     return float(np.sqrt(np.sum(basis.n * np.abs(inner) ** 2 / denom)))
 

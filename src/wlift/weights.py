@@ -14,7 +14,8 @@ from typing import Tuple
 import numpy as np
 
 from .lifting import LiftingBasis
-from .scores import SingularWeightsError, _side_pairs, _side_projector, subspace_of
+from .scores import (SingularWeightsError, _check_subspace, _side_pairs,
+                     _side_projector, subspace_of)
 from .signal import SampleSet
 from .solver import SolverConfig, complete
 
@@ -152,14 +153,11 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
     one Gram solve per kept step. Returns identity weights when nothing
     improves (including the fully observed case, where the objective is
     an empty sum). Raises ValueError for a pilot whose dimensions do not
-    match the basis or whose rank is 0.
+    match the basis.
     """
+    _check_subspace(basis, pilot_subspace)
     d1, d2 = basis.dims
     u, v = pilot_subspace.left, pilot_subspace.right
-    if (u.shape[0], v.shape[0]) != (d1, d2):
-        raise ValueError("pilot subspace dimensions do not match the basis")
-    if pilot_subspace.rank < 1:
-        raise ValueError("pilot subspace has rank 0")
     unobserved = sample_set.complement()
     identity = identity_weights((d1, d2)).frobenius_normalized()
     if unobserved.size == 0:

@@ -58,6 +58,12 @@ def test_subspace_pair_rank_is_its_column_count():
             SubspacePair(left, right)
 
 
+def test_subspace_pair_rejects_rank_zero():
+    # every score divides by the rank, so an empty pair must not be built
+    with pytest.raises(ValueError, match="rank 0"):
+        SubspacePair(np.zeros((10, 0)), np.zeros((12, 0)))
+
+
 def test_leverage_scores_all_ones_hand_value():
     basis = hankel_basis(3, 2)
     mu = leverage_scores(basis, subspace_of(basis, np.ones(3)))
@@ -97,7 +103,7 @@ def test_full_subspace_scores_bounded():
     basis = hankel_basis(9, 4)
     rng = np.random.default_rng(0)
     x = rng.normal(size=9) + 1j * rng.normal(size=9)
-    sub = subspace_of(basis, x, rank_tol=0.0)
+    sub = subspace_of(basis, x)
     mu = leverage_scores(basis, sub)
     assert np.all(mu.values <= 9 / sub.rank + 1e-10)
 

@@ -211,7 +211,7 @@ def test_tune_keeps_a_flat_side_at_identity():
     basis = hankel_basis(21, 10)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-    sub = subspace_of(basis, x, rank_tol=0.0)
+    sub = subspace_of(basis, x)
     assert sub.rank == basis.dims[0]
     for seed in range(40):
         res = tune_diagonal_weights(basis, sample_uniform_m(21, 10, seed), sub)
@@ -327,12 +327,12 @@ def test_tune_rejects_mismatched_pilot():
     sub = subspace_of(basis, y)
     taller = subspace_of(hankel_basis(21, 11), y)
     swapped = SubspacePair(sub.right, sub.left)
-    empty = SubspacePair(np.zeros((10, 0)), np.zeros((12, 0)))
     for pilot in (taller, swapped):
         with pytest.raises(ValueError, match="do not match the basis"):
             tune_diagonal_weights(basis, sset, pilot)
     with pytest.raises(ValueError, match="rank 0"):
-        tune_diagonal_weights(basis, sset, empty)
+        tune_diagonal_weights(basis, sset, SubspacePair(np.zeros((10, 0)),
+                                                        np.zeros((12, 0))))
 
 
 @pytest.mark.parametrize("structure, n, d", [(hankel_basis, 59, 30),
