@@ -19,8 +19,8 @@ from . import experiments
 from .experiments import (PhaseGrid, build_basis, emit_dat, noise_sweep,
                           phase_transition, run_trial)
 from .lifting import validate_basis
-from .scores import (SingularWeightsError, leverage_scores, lifting_coefficient,
-                     scores_to_text, subspace_of)
+from .scores import (leverage_scores, lifting_coefficient, scores_to_text,
+                     subspace_of)
 from .signal import mixture_to_text, synthesize
 from .solver import SolverConfig
 from .weights import tune_diagonal_weights
@@ -246,8 +246,7 @@ def main(argv=None) -> int:
             Path(args.out + ".config.json").write_text(
                 json.dumps(resolved, indent=2, sort_keys=True) + "\n")
         return code
-    except (NumericalFailure, SingularWeightsError,
-            np.linalg.LinAlgError) as exc:
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return NUMERICAL_ERROR
     except KeyError as exc:  # a command read a key nobody set

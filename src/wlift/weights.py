@@ -77,7 +77,6 @@ TUNE_SWEEPS = 4             # coordinate-descent sweeps
 TUNE_REL_TOL = 1e-6         # stop after a sweep with a smaller relative gain
 STEP_FACTORS = (0.5, 2.0)
 SCREEN_REL_TOL = 1e-9       # re-solve steps scored this close to improving
-SCREEN_SPAN = 8             # steps scored per closed-form pass, at first
 GAIN_REL_TOL = 1e-12        # a step must gain more than rounding to be kept
 
 
@@ -142,18 +141,18 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
     fixed throughout; only the oblique projections move with the weights,
     and a step on one side moves only that side's projection.
 
-    Each side keeps its projector P for the kept weights, and vectorised
-    passes score the side's next steps from it in closed form (a rank-one
-    update, see `_stepped_norms`): SCREEN_SPAN steps, then twice as many
-    after each pass that keeps none. Only a step that the closed form puts
-    within SCREEN_REL_TOL of an improvement is re-solved, with the Gram
-    conditioning check and the exact per-element norms, and that exact
-    objective decides whether the step is kept. So the kept steps, sweeps
-    and objective are those of a loop that re-solves every step, at about
-    one Gram solve per kept step. Returns identity weights when nothing
-    improves (including the fully observed case, where the objective is
-    an empty sum). Raises ValueError for a pilot whose dimensions do not
-    match the basis.
+    Each side keeps its projector P for the kept weights, and one
+    vectorised pass scores all of the side's remaining steps from it in
+    closed form (a rank-one update, see `_stepped_norms`). Only a step
+    that the closed form puts within SCREEN_REL_TOL of an improvement is
+    re-solved, in step order, with the Gram conditioning check and the
+    exact per-element norms, and that exact objective decides whether the
+    step is kept. After a kept step the pass starts again from the next
+    step. So the kept steps, sweeps and objective are those of a loop that
+    re-solves every step, at about one Gram solve per kept step. Returns
+    identity weights when nothing improves (including the fully observed
+    case, where the objective is an empty sum). Raises ValueError for a
+    pilot whose dimensions do not match the basis.
     """
     _check_subspace(basis, pilot_subspace)
     d1, d2 = basis.dims
@@ -185,15 +184,16 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
         for side, (w, q, name) in enumerate(sides):
             other = kept[1 - side][1]
             # step k multiplies w[k // 2] by STEP_FACTORS[k % 2]; score
-            # the next `span` steps, twice as many after each miss
-            step, span = 0, SCREEN_SPAN
+            # every remaining step, again from the one after a kept step
+            step = 0
             while step < 2 * w.size:
-                steps = np.arange(step, min(step + span, 2 * w.size))
+                steps = np.arange(step, 2 * w.size)
                 moved = _stepped_norms(kept[side][0], steps // 2,
                                        factors[steps % 2], pairs[side])
                 screen = (scale * np.maximum(moved, other[unobserved - 1])
                           ).sum(axis=1)
                 near = screen < best * (1.0 + SCREEN_REL_TOL)
+                step = 2 * w.size
                 for k in steps[near]:
                     i, old = k // 2, w[k // 2]
                     w[i] = old * STEP_FACTORS[k % 2]
@@ -204,11 +204,9 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
                         val = np.inf
                     if val < best * (1.0 - GAIN_REL_TOL):
                         best, kept[side] = val, trial
-                        step, span = k + 1, SCREEN_SPAN
+                        step = k + 1
                         break
                     w[i] = old
-                else:
-                    step, span = steps[-1] + 1, 2 * span
         if before - best < TUNE_REL_TOL * max(abs(before), 1.0):
             break
 

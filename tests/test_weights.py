@@ -363,7 +363,8 @@ def test_stepped_norms_match_side_norms(structure, n, d):
 
 def test_tune_matches_step_by_step_reference():
     # the skewed, double-Hankel and sweep-bound cases above, with kept
-    # steps on both sides and runs of more than one sweep
+    # steps on both sides and runs of more than one sweep, and a band-sized
+    # double-Hankel tune that rescores after each of many kept steps
     cases = [(hankel_basis(21, 10), SampleSet(21, np.arange(1, 13)),
               random_mixture(21, 2, np.random.default_rng(seed)))
              for seed in range(10)]
@@ -371,6 +372,8 @@ def test_tune_matches_step_by_step_reference():
                   random_mixture(21, 2, np.random.default_rng(1))))
     cases.append((hankel_basis(21, 10), sample_uniform_m(21, 8, seed=2),
                   random_mixture(21, 2, np.random.default_rng(4))))
+    cases.append((double_hankel_basis(59, 40), sample_uniform_m(59, 30, seed=0),
+                  random_mixture(59, 4, np.random.default_rng(0))))
     sweeps = []
     for basis, sset, mix in cases:
         res = assert_matches_reference(basis, sset,
@@ -426,19 +429,26 @@ def test_tune_ill_conditioned_baseline_falls_back():
 
 
 def test_tune_refreshes_gram_only_for_kept_steps(monkeypatch):
-    # a tune that keeps identity scores every step from one Gram solve
-    # per side; a loop that re-solved per step would make about 4 * d
+    # a tune that keeps identity scores every step of a side in one
+    # closed-form pass from one Gram solve; a loop that re-solved per
+    # step would make about 4 * d
     import wlift.weights
-    calls = []
+    calls, passes = [], []
 
     def counting(basis, w, q, side):
         calls.append(side)
         return _side_projector(basis, w, q, side)
 
+    def counting_passes(proj, idx, fac, pairs):
+        passes.append(idx.size)
+        return _stepped_norms(proj, idx, fac, pairs)
+
     monkeypatch.setattr(wlift.weights, "_side_projector", counting)
+    monkeypatch.setattr(wlift.weights, "_stepped_norms", counting_passes)
     basis = hankel_basis(59, 30)
     sub = subspace_of(basis, synthesize(random_mixture(
         59, 3, np.random.default_rng(7))))
     res = tune_diagonal_weights(basis, sample_uniform_m(59, 25, seed=0), sub)
     assert res.objective == res.baseline and res.sweeps == 1
     assert sorted(calls) == ["left", "right"]
+    assert passes == [60, 60]
