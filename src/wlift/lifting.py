@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
 from numbers import Integral
 from typing import Optional, Tuple
 
@@ -50,8 +49,9 @@ class LiftingBasis:
     rows/cols/element/conjugated are parallel flat arrays: entry j says
     element `element[j]` (0-based) has a nonzero at (rows[j], cols[j]) of
     value 1/sqrt(omega) for that element, and conjugated[j] whether that
-    cell carries conj(x_n). Entries are grouped by element, in the order
-    the per-element sums (`element_sum`, the scores) add them.
+    cell carries conj(x_n). Entries are grouped by element; their order
+    within an element matters only to `element_sum`, which adds them in
+    that order for the lift's `normal_diag` and the A-norms.
     """
 
     n: int
@@ -65,27 +65,6 @@ class LiftingBasis:
     def element_sum(self, vals: np.ndarray) -> np.ndarray:
         """Sum real per-cell values (aligned with rows/cols) over each element."""
         return np.bincount(self.element, weights=vals, minlength=self.n)
-
-    @cached_property
-    def row_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(cols_a, cols_b, element) over ordered same-row cell pairs.
-
-        Lists every ordered pair of cells (self-pairs included) that belong
-        to one element and share a row. Hankel rows never repeat within an
-        element, so there the pairs are just the cells; double-Hankel rows
-        repeat across its two blocks. Built on first use.
-        """
-        key = self.element * self.dims[0] + self.rows
-        order = np.argsort(key, kind="stable")
-        _, start, size = np.unique(key[order], return_index=True,
-                                   return_counts=True)
-        # sorted cell j pairs with each cell of its group, j itself included
-        group = np.repeat(size, size)
-        first = np.repeat(start, size)
-        a = np.repeat(np.arange(order.size), group)
-        rank = np.arange(a.size) - np.repeat(np.cumsum(group) - group, group)
-        ia, ib = order[a], order[np.repeat(first, group) + rank]
-        return self.cols[ia], self.cols[ib], self.element[ia]
 
 
 class LiftOperator:

@@ -80,23 +80,40 @@ def subspace_of(basis: LiftingBasis, x: np.ndarray) -> SubspacePair:
     return SubspacePair(u[:, :k], vh[:k, :].conj().T)
 
 
-def _side_pairs(basis: LiftingBasis, side: str):
-    """(a, b, element): each factor G's side norms, ||G A_n||_F^2 ("left",
-    H = G^H G) or ||A_n G||_F^2 ("right", H = G G^H), are (1/omega_n) sum
-    Re H[a, b] over element n's pairs. An element's cells have distinct
-    columns, so the left pairs are each cell's row with itself; the right
-    pairs are its same-row cell pairs (`LiftingBasis.row_pairs`).
+def _side_map(basis: LiftingBasis, side: str):
+    """(a, b, m): a side matrix h's side norms are h[a, b].real @ m.
+
+    ||G A_n||_F^2 ("left", h = G^H G) or ||A_n G||_F^2 ("right", h = G G^H)
+    is (1/omega_n) sum Re h[a, b] over the pairs of this side's indices
+    (rows for "left") of element n's cells that share the other index. By
+    column sparsity a left pair is one cell's row twice; double-Hankel's
+    right pairs also cross its two blocks. m[p, n] is the count of pair p
+    in element n over omega_n.
     """
-    if side == "left":
-        return basis.rows, basis.rows, basis.element
-    return basis.row_pairs
-
-
-def _side_norms(basis: LiftingBasis, side: str, h: np.ndarray) -> np.ndarray:
-    """Per-element side norms from the side's Hermitian Gram matrix h."""
-    a, b, element = _side_pairs(basis, side)
-    return (np.bincount(element, weights=h[a, b].real, minlength=basis.n)
-            / basis.support_counts)
+    left = side == "left"
+    this, other = (basis.rows, basis.cols) if left else (basis.cols, basis.rows)
+    d, d_other = basis.dims if left else basis.dims[::-1]
+    group = basis.element * d_other + other
+    order = np.argsort(group)
+    group = group[order]
+    # cells t apart in group order pair up when they share a group
+    i, j, t = [order], [order], 1
+    while (s := np.flatnonzero(group[t:] == group[:-t])).size:
+        i += [order[s], order[s + t]]
+        j += [order[s + t], order[s]]
+        t += 1
+    i, j = np.concatenate(i), np.concatenate(j)
+    a, b = this[i], this[j]
+    # by (min, max, a > b): a pair and its mirror, equal in Re h, add in turn
+    key = (np.minimum(a, b) * d + np.maximum(a, b)) * 2 + (a > b)
+    listed = np.bincount(key, minlength=2 * d * d) > 0
+    keys, slot = np.flatnonzero(listed), np.cumsum(listed) - 1
+    counts = np.bincount(slot[key] * basis.n + basis.element[i],
+                         minlength=keys.size * basis.n)
+    lo, hi = np.divmod(keys // 2, d)
+    a = np.where(keys % 2, hi, lo)
+    return a, lo + hi - a, (counts.reshape(keys.size, basis.n)
+                            / basis.support_counts)
 
 
 def _check_subspace(basis: LiftingBasis, subspace: SubspacePair) -> None:
@@ -111,21 +128,21 @@ def leverage_scores(basis: LiftingBasis, subspace: SubspacePair) -> ScoreVector:
     """
     _check_subspace(basis, subspace)
     u, v = subspace.left, subspace.right
-    left = _side_norms(basis, "left", u @ u.conj().T)
-    right = _side_norms(basis, "right", v @ v.conj().T)
+    left, right = (h[a, b].real @ m for h, (a, b, m) in (
+        (u @ u.conj().T, _side_map(basis, "left")),
+        (v @ v.conj().T, _side_map(basis, "right"))))
     vals = basis.n / subspace.rank * np.maximum(left, right)
     return ScoreVector(vals, subspace.rank)
 
 
-def _side_projector(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
-                    side: str):
+def _side_projector(w: np.ndarray, q: np.ndarray, side_map):
     """(P, per-element norms) of one side's oblique projection at weights w.
 
     P = W^H Q (Q^H W W^H Q)^-1 Q^H W for the real weight diagonal w, with
     Q = U for side "left" and Q = V for side "right". W^H Q is a row
     scaling of Q, and P is an orthogonal projector. The norms are
-    ||P A_n||_F^2 ("left") or ||A_n P||_F^2 ("right"), read by
-    `_side_norms` from P itself, since P^H P = P P^H = P. Raises
+    ||P A_n||_F^2 ("left") or ||A_n P||_F^2 ("right"), read through the
+    side's `_side_map` from P itself, since P^H P = P P^H = P. Raises
     SingularWeightsError when the K x K Gram matrix is numerically singular.
     """
     wq = w[:, None] * q
@@ -133,9 +150,10 @@ def _side_projector(basis: LiftingBasis, w: np.ndarray, q: np.ndarray,
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
         raise SingularWeightsError(
-            f"{side} weight Gram matrix is ill-conditioned (cond={cond:.3e})")
+            f"weight Gram matrix is ill-conditioned (cond={cond:.3e})")
     proj = wq @ np.linalg.solve(gram, wq.conj().T)
-    return proj, _side_norms(basis, side, proj)
+    a, b, m = side_map
+    return proj, proj[a, b].real @ m
 
 
 def weighted_leverage_scores(basis: LiftingBasis, weights: WeightPair,
@@ -146,9 +164,10 @@ def weighted_leverage_scores(basis: LiftingBasis, weights: WeightPair,
     mirror; the K x K Gram inverses are formed once and shared across n.
     """
     _check_subspace(basis, subspace)
-    _, left = _side_projector(basis, weights.left_diag, subspace.left, "left")
-    _, right = _side_projector(basis, weights.right_diag, subspace.right,
-                               "right")
+    _, left = _side_projector(weights.left_diag, subspace.left,
+                              _side_map(basis, "left"))
+    _, right = _side_projector(weights.right_diag, subspace.right,
+                               _side_map(basis, "right"))
     vals = basis.n / subspace.rank * np.maximum(left, right)
     return ScoreVector(vals, subspace.rank)
 

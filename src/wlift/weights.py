@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .lifting import LiftingBasis
-from .scores import (SingularWeightsError, _check_subspace, _side_pairs,
+from .scores import (SingularWeightsError, _check_subspace, _side_map,
                      _side_projector, subspace_of)
 from .signal import SampleSet
 from .solver import SolverConfig, complete
@@ -89,28 +89,9 @@ class TuneResult:
     fell_back: bool = False     # set when tuning hit singular weights
 
 
-def _pair_map(basis: LiftingBasis, side: str, unobserved: np.ndarray):
-    """(a, b, m): the unobserved side norms are Re(P[a, b]) @ m.
-
-    The side norms `_side_norms` reads from P sum Re P over the side's
-    `_side_pairs`, divided by omega_n. (a, b) lists those entries once
-    each; m[p, j] weighs entry p into the j-th unobserved element.
-    """
-    a, b, element = _side_pairs(basis, side)
-    d = basis.dims[0 if side == "left" else 1]
-    column = np.full(basis.n, -1)
-    column[unobserved - 1] = np.arange(unobserved.size)
-    keep = column[element] >= 0
-    keys, entry = np.unique(a[keep] * d + b[keep], return_inverse=True)
-    m = np.zeros((keys.size, unobserved.size))
-    np.add.at(m, (entry, column[element[keep]]),
-              1.0 / basis.support_counts[element[keep]])
-    return keys // d, keys % d, m
-
-
 def _stepped_norms(proj: np.ndarray, idx: np.ndarray, fac: np.ndarray,
-                   pairs) -> np.ndarray:
-    """Unobserved side norms after w[idx[j]] *= fac[j], one row per j.
+                   side_map) -> np.ndarray:
+    """Side norms through side_map after w[idx[j]] *= fac[j], one row per j.
 
     With H = Q (Q^H W^2 Q)^-1 Q^H, so that P = W H W, a step is a
     rank-one Sherman-Morrison update of H. In terms of P it reads
@@ -118,7 +99,7 @@ def _stepped_norms(proj: np.ndarray, idx: np.ndarray, fac: np.ndarray,
     with g = fac^2 - 1 and s = fac at i, 1 elsewhere. The denominator is
     at least 1/4, as 0 <= P[i, i] <= 1.
     """
-    a, b, m = pairs
+    a, b, m = side_map
     fac = fac[:, None]
     g = fac * fac - 1.0
     rows = proj[idx]
@@ -163,7 +144,8 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
         return TuneResult(identity, 0.0, 0.0, 0)
 
     wl, wr = np.ones(d1), np.ones(d2)
-    sides = ((wl, u, "left"), (wr, v, "right"))
+    sides = ((wl, u, _side_map(basis, "left")),
+             (wr, v, _side_map(basis, "right")))
     scale = basis.n / pilot_subspace.rank
 
     def objective(left, right) -> float:
@@ -171,17 +153,22 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
         return float((scale * np.maximum(left, right))[unobserved - 1].sum())
 
     try:
-        kept = [_side_projector(basis, w, q, name) for w, q, name in sides]
+        kept = [_side_projector(w, q, side_map) for w, q, side_map in sides]
     except SingularWeightsError:
         return TuneResult(identity, float("nan"), float("nan"), 0,
                           fell_back=True)
-    pairs = [_pair_map(basis, name, unobserved) for _, _, name in sides]
+    # the screen reads the unobserved elements' columns and the pairs they use
+    screened = []
+    for _, _, (a, b, m) in sides:
+        m = m[:, unobserved - 1]
+        used = m.any(axis=1)
+        screened.append((a[used], b[used], m[used]))
     factors = np.array(STEP_FACTORS)
     baseline = best = objective(kept[0][1], kept[1][1])
 
     for sweeps in range(1, TUNE_SWEEPS + 1):
         before = best
-        for side, (w, q, name) in enumerate(sides):
+        for side, (w, q, side_map) in enumerate(sides):
             other = kept[1 - side][1]
             # step k multiplies w[k // 2] by STEP_FACTORS[k % 2]; score
             # every remaining step, again from the one after a kept step
@@ -189,7 +176,7 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
             while step < 2 * w.size:
                 steps = np.arange(step, 2 * w.size)
                 moved = _stepped_norms(kept[side][0], steps // 2,
-                                       factors[steps % 2], pairs[side])
+                                       factors[steps % 2], screened[side])
                 screen = (scale * np.maximum(moved, other[unobserved - 1])
                           ).sum(axis=1)
                 near = screen < best * (1.0 + SCREEN_REL_TOL)
@@ -198,7 +185,7 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
                     i, old = k // 2, w[k // 2]
                     w[i] = old * STEP_FACTORS[k % 2]
                     try:
-                        trial = _side_projector(basis, w, q, name)
+                        trial = _side_projector(w, q, side_map)
                         val = objective(trial[1], other)
                     except SingularWeightsError:
                         val = np.inf

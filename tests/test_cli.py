@@ -2,6 +2,7 @@ import argparse
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wlift.cli import build_parser, main
@@ -54,6 +55,20 @@ def test_complete_reports_success(capsys):
     out = capsys.readouterr().out
     assert out.startswith("rel_error ")
     assert "success true" in out
+
+
+def test_complete_solver_error_is_numerical_failure(monkeypatch, capsys):
+    import wlift.experiments
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(wlift.experiments, "complete", failing)
+    assert main(["complete", "--structure", "hankel", "--n", "21", "--d", "10",
+                 "--k", "1", "--m", "15", "--seed", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err and "LinAlgError" in captured.err
 
 
 def test_complete_missing_required_key_is_usage_error(capsys):

@@ -72,6 +72,16 @@ def test_run_trial_survives_degenerate_cell():
     assert not out.success
 
 
+def test_run_trial_folds_solver_errors(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(experiments, "complete", failing)
+    out = run_trial(21, "hankel", 10, "identity", 15, 1, 2)
+    assert not out.success and out.rel_error == float("inf")
+    assert out.error_code == "LinAlgError"
+
+
 def test_phase_grid_validation():
     with pytest.raises(ValueError):
         PhaseGrid((70,), (2,))

@@ -124,7 +124,7 @@ def test_adjoint_single_element():
     np.testing.assert_array_equal(adjoint(basis, np.zeros((2, 2))), np.zeros(3))
 
 
-def test_basis_with_cached_operator_is_freed_by_reference_count():
+def test_basis_is_freed_by_reference_count_after_a_lift():
     basis = hankel_basis(21, 10)
     lift(basis, np.ones(21))
     ref = weakref.ref(basis)

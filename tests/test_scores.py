@@ -5,10 +5,10 @@ import pytest
 
 from wlift.experiments import random_mixture
 from wlift.lifting import double_hankel_basis, hankel_basis
-from wlift.scores import (SingularWeightsError, SubspacePair, _side_norms,
-                          a_norm_2, a_norm_inf, leverage_scores, lifting_coefficient,
-                          probability_floor, scores_to_text, subspace_of,
-                          weighted_leverage_scores)
+from wlift.scores import (ScoreVector, SingularWeightsError, SubspacePair,
+                          _side_map, a_norm_2, a_norm_inf, leverage_scores,
+                          lifting_coefficient, probability_floor,
+                          scores_to_text, subspace_of, weighted_leverage_scores)
 from wlift.signal import synthesize
 from wlift.weights import WeightPair, identity_weights
 
@@ -93,10 +93,10 @@ def test_side_norms_match_dense_definition():
                 for k in range(basis.n)]
         right = [np.linalg.norm(dense_element(basis, k) @ gr) ** 2
                  for k in range(basis.n)]
-        np.testing.assert_allclose(
-            _side_norms(basis, "left", gl.conj().T @ gl), left, rtol=1e-12)
-        np.testing.assert_allclose(
-            _side_norms(basis, "right", gr @ gr.conj().T), right, rtol=1e-12)
+        for h, side, want in ((gl.conj().T @ gl, "left", left),
+                              (gr @ gr.conj().T, "right", right)):
+            a, b, m = _side_map(basis, side)
+            np.testing.assert_allclose(h[a, b].real @ m, want, rtol=1e-12)
 
 
 def test_full_subspace_scores_bounded():
@@ -235,6 +235,10 @@ def test_a_norms_zero_matrix():
     mu = leverage_scores(basis, sub)
     assert a_norm_inf(basis, mu, np.zeros(basis.dims)) == 0
     assert a_norm_2(basis, mu, np.zeros(basis.dims)) == 0
+    zero = ScoreVector(np.where(np.arange(9) == 4, 0.0, mu.values),
+                       mu.rank_used)
+    with pytest.raises(ValueError, match="strictly positive"):
+        a_norm_inf(basis, zero, np.zeros(basis.dims))
 
 
 @pytest.mark.parametrize("structure, n, d", [(hankel_basis, 21, 10),

@@ -42,6 +42,8 @@ def test_mixture_rejects_degenerate():
         Mixture(5, [])
     with pytest.raises(ValueError):
         Mixture(5, [(1, 0)])
+    with pytest.raises(ValueError, match="non-finite base"):
+        Mixture(5, [(1, complex(np.nan, 1))])
     for n in (2.5, float("nan")):  # not truncated to N = 2, nor passed on
         with pytest.raises(ValueError):
             Mixture(n, [(1, 1)])
@@ -105,6 +107,8 @@ def test_project_examples():
     np.testing.assert_array_equal(project(y, SampleSet(4, np.array([2, 4]))),
                                   [-1, 1])
     np.testing.assert_array_equal(project(y, SampleSet(4, np.arange(1, 5))), y)
+    with pytest.raises(ValueError, match="universe size"):
+        project(y, SampleSet(5, np.array([2, 4])))
 
 
 def test_project_embed_roundtrip():

@@ -270,6 +270,12 @@ def test_complete_annihilating_weights_rejected():
     with pytest.raises(ValueError):
         complete(basis, weights, SampleSet(9, np.array([1, 2])),
                  np.array([1.0, 2.0]))
+    # element 0 is the single cell (0, 0), which a zero left_diag[0] erases
+    left = np.ones(4)
+    left[0] = 0.0
+    with pytest.raises(ValueError, match="some coordinate"):
+        complete(basis, WeightPair(left, np.ones(6)),
+                 SampleSet(9, np.array([1, 2])), np.array([1.0, 2.0]))
 
 
 def test_complete_iteration_exhaustion_reports_not_raises():

@@ -3,14 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from wlift.experiments import random_mixture
+from wlift.experiments import _draw, random_mixture
 from wlift.lifting import double_hankel_basis, hankel_basis
 from wlift.scores import (GRAM_CONDITION_LIMIT, SingularWeightsError,
                           SubspacePair, subspace_of, weighted_leverage_scores)
-from wlift.signal import SampleSet, sample_uniform_m, synthesize
+from wlift.signal import SampleSet, project, sample_uniform_m, synthesize
 from wlift.solver import SolverConfig, relative_error
 from wlift.weights import (GAIN_REL_TOL, STEP_FACTORS, TUNE_REL_TOL,
-                           TUNE_SWEEPS, WeightPair, _pair_map, _side_projector,
+                           TUNE_SWEEPS, WeightPair, _side_map, _side_projector,
                            _stepped_norms,
                            identity_weights, tune_diagonal_weights,
                            two_stage_pipeline)
@@ -128,6 +128,8 @@ def test_frobenius_normalization():
     # direction preserved
     np.testing.assert_allclose(w.left_diag[1] / w.left_diag[0], 4 / 3,
                                rtol=1e-12)
+    with pytest.raises(ValueError, match="positive norm"):
+        WeightPair([3.0, 4.0], [0.0, 0.0]).frobenius_normalized()
 
 
 def test_tune_full_observation_returns_identity():
@@ -301,6 +303,32 @@ def test_two_stage_reuses_stage_one_when_tuning_keeps_identity(monkeypatch):
     np.testing.assert_array_equal(weights.left_diag, np.ones(30))
 
 
+def test_two_stage_solves_the_tuned_program_when_tuning_gains(monkeypatch):
+    # stage 1 converges and its pilot's tune lowers the objective, so
+    # stage 2 re-solves the program with the tuned weights
+    import wlift.weights
+    basis = double_hankel_basis(21, 14)
+    y, sset = _draw(21, 2, 10, 0)
+    obs = project(y, sset)
+    calls = []
+    original = wlift.weights.complete
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wlift.weights, "complete", counting)
+    weights, result = two_stage_pipeline(basis, sset, obs)
+    assert len(calls) == 2 and calls[1] is weights
+    stage1 = original(basis, identity_weights(basis.dims), sset, obs)
+    tuned = tune_diagonal_weights(basis, sset,
+                                  subspace_of(basis, stage1.estimate))
+    assert stage1.converged and tuned.objective < tuned.baseline
+    np.testing.assert_array_equal(weights.left_diag, tuned.weights.left_diag)
+    np.testing.assert_array_equal(weights.right_diag,
+                                  tuned.weights.right_diag)
+
+
 def test_two_stage_unconverged_stage_one_keeps_identity(monkeypatch):
     # an unconverged stage 1 gives no pilot subspace to tune from
     import wlift.weights
@@ -349,14 +377,16 @@ def test_stepped_norms_match_side_norms(structure, n, d):
     for q, name in ((sub.left, "left"), (sub.right, "right")):
         w = 2.0 ** rng.integers(-3, 4, size=q.shape[0])
         idx = np.arange(w.size)
-        proj, _ = _side_projector(basis, w, q, name)
-        pairs = _pair_map(basis, name, unobserved)
+        a, b, m = side_map = _side_map(basis, name)
+        proj, _ = _side_projector(w, q, side_map)
+        unobserved_map = a, b, m[:, unobserved - 1]
         for fac in STEP_FACTORS:
-            got = _stepped_norms(proj, idx, np.full(idx.size, fac), pairs)
+            got = _stepped_norms(proj, idx, np.full(idx.size, fac),
+                                 unobserved_map)
             for i in idx:
                 stepped = w.copy()
                 stepped[i] *= fac
-                want = _side_projector(basis, stepped, q, name)[1][
+                want = _side_projector(stepped, q, side_map)[1][
                     unobserved - 1]
                 np.testing.assert_allclose(got[i], want, rtol=1e-12)
 
@@ -400,11 +430,11 @@ def test_tune_never_keeps_an_ill_conditioned_step(monkeypatch):
     basis, pilot = _nearly_dependent_pilot(3e-6)
     rejected = []
 
-    def recording(basis, w, q, side):
+    def recording(w, q, side_map):
         try:
-            return _side_projector(basis, w, q, side)
+            return _side_projector(w, q, side_map)
         except SingularWeightsError:
-            rejected.append(side)
+            rejected.append("left" if q is pilot.left else "right")
             raise
 
     monkeypatch.setattr(wlift.weights, "_side_projector", recording)
@@ -435,13 +465,13 @@ def test_tune_refreshes_gram_only_for_kept_steps(monkeypatch):
     import wlift.weights
     calls, passes = [], []
 
-    def counting(basis, w, q, side):
-        calls.append(side)
-        return _side_projector(basis, w, q, side)
+    def counting(w, q, side_map):
+        calls.append("left" if q is sub.left else "right")
+        return _side_projector(w, q, side_map)
 
-    def counting_passes(proj, idx, fac, pairs):
+    def counting_passes(proj, idx, fac, side_map):
         passes.append(idx.size)
-        return _stepped_norms(proj, idx, fac, pairs)
+        return _stepped_norms(proj, idx, fac, side_map)
 
     monkeypatch.setattr(wlift.weights, "_side_projector", counting)
     monkeypatch.setattr(wlift.weights, "_stepped_norms", counting_passes)
