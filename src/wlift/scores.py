@@ -22,7 +22,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SubspacePair",
     "ScoreVector",
-    "SingularWeightsError",
     "subspace_of",
     "leverage_scores",
     "weighted_leverage_scores",
@@ -34,16 +33,19 @@ __all__ = [
 ]
 
 GRAM_CONDITION_LIMIT = 1e12
+ORTHONORMAL_TOL = 1e-10
 RANK_TOL = 1e-8
-
-
-class SingularWeightsError(ValueError):
-    """Weight matrices made the projection Gram matrix numerically singular."""
 
 
 @dataclass(frozen=True)
 class SubspacePair:
-    """Truncated SVD subspaces of a lifted (possibly weighted) signal."""
+    """Truncated SVD subspaces of a lifted (possibly weighted) signal.
+
+    Both factors have orthonormal columns, to ORTHONORMAL_TOL in every
+    entry of Q^H Q - I. So U U^H is the left projector that the scores
+    read, and the tuner's Gram matrices Q^H W^2 Q have condition number
+    at most (max w / min w)^2.
+    """
 
     left: np.ndarray          # d1 x K, orthonormal columns, K >= 1
     right: np.ndarray         # d2 x K, orthonormal columns
@@ -55,6 +57,11 @@ class SubspacePair:
                              "column counts")
         if self.left.shape[1] == 0:
             raise ValueError("subspace factors have no columns (rank 0)")
+        for q in (self.left, self.right):
+            gap = np.abs(q.conj().T @ q - np.eye(q.shape[1])).max()
+            if not gap <= ORTHONORMAL_TOL:
+                raise ValueError("subspace factors must have orthonormal "
+                                 f"columns (max |Q^H Q - I| = {gap:.3e})")
 
     @property
     def rank(self) -> int:
@@ -143,13 +150,14 @@ def _side_projector(w: np.ndarray, q: np.ndarray, side_map):
     scaling of Q, and P is an orthogonal projector. The norms are
     ||P A_n||_F^2 ("left") or ||A_n P||_F^2 ("right"), read through the
     side's `_side_map` from P itself, since P^H P = P P^H = P. Raises
-    SingularWeightsError when the K x K Gram matrix is numerically singular.
+    ValueError when the K x K Gram matrix is numerically singular, which
+    caller weights with zero or tiny entries can make it.
     """
     wq = w[:, None] * q
     gram = wq.conj().T @ wq
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
-        raise SingularWeightsError(
+        raise ValueError(
             f"weight Gram matrix is ill-conditioned (cond={cond:.3e})")
     proj = wq @ np.linalg.solve(gram, wq.conj().T)
     a, b, m = side_map

@@ -141,8 +141,8 @@ def mixture_to_text(mixture: Mixture) -> str:
 
 
 def _check_noise_bound(eta) -> None:
-    """Reject a noise bound that is negative, NaN or infinite."""
-    if not 0 <= eta < np.inf:
+    """Reject a noise bound that is a bool, negative, NaN or infinite."""
+    if isinstance(eta, (bool, np.bool_)) or not 0 <= eta < np.inf:
         raise ValueError(f"noise bound must be finite and nonnegative, got {eta}")
 
 

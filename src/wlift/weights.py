@@ -14,8 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .lifting import LiftingBasis
-from .scores import (SingularWeightsError, _check_subspace, _side_map,
-                     _side_projector, subspace_of)
+from .scores import _check_subspace, _side_map, _side_projector, subspace_of
 from .signal import SampleSet
 from .solver import SolverConfig, complete
 
@@ -86,7 +85,7 @@ class TuneResult:
     objective: float
     baseline: float
     sweeps: int
-    fell_back: bool = False     # set when tuning hit singular weights
+    fell_back = False  # not a field; bench/spans.py reads it
 
 
 def _stepped_norms(proj: np.ndarray, idx: np.ndarray, fac: np.ndarray,
@@ -120,17 +119,20 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
     x2 after a kept x0.5 restores a value that already lost, so an entry
     stays in [2^-TUNE_SWEEPS, 2^TUNE_SWEEPS]. The pilot subspace stays
     fixed throughout; only the oblique projections move with the weights,
-    and a step on one side moves only that side's projection.
+    and a step on one side moves only that side's projection. Its factors
+    are orthonormal, so each Gram matrix Q^H W^2 Q has condition number at
+    most (max w / min w)^2 <= 2^(4 TUNE_SWEEPS), far inside the
+    conditioning check of `_side_projector`.
 
     Each side keeps its projector P for the kept weights, and one
     vectorised pass scores all of the side's remaining steps from it in
     closed form (a rank-one update, see `_stepped_norms`). Only a step
     that the closed form puts within SCREEN_REL_TOL of an improvement is
-    re-solved, in step order, with the Gram conditioning check and the
-    exact per-element norms, and that exact objective decides whether the
-    step is kept. After a kept step the pass starts again from the next
-    step. So the kept steps, sweeps and objective are those of a loop that
-    re-solves every step, at about one Gram solve per kept step. Returns
+    re-solved, in step order, with the exact per-element norms, and that
+    exact objective decides whether the step is kept. After a kept step
+    the pass starts again from the next step. So the kept steps, sweeps
+    and objective are those of a loop that re-solves every step, at about
+    one Gram solve per kept step. Returns
     identity weights when nothing improves (including the fully observed
     case, where the objective is an empty sum). Raises ValueError for a
     pilot whose dimensions do not match the basis.
@@ -152,11 +154,7 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
         # the unobserved sum of weighted_leverage_scores; max is symmetric
         return float((scale * np.maximum(left, right))[unobserved - 1].sum())
 
-    try:
-        kept = [_side_projector(w, q, side_map) for w, q, side_map in sides]
-    except SingularWeightsError:
-        return TuneResult(identity, float("nan"), float("nan"), 0,
-                          fell_back=True)
+    kept = [_side_projector(w, q, side_map) for w, q, side_map in sides]
     # the screen reads the unobserved elements' columns and the pairs they use
     screened = []
     for _, _, (a, b, m) in sides:
@@ -184,11 +182,8 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
                 for k in steps[near]:
                     i, old = k // 2, w[k // 2]
                     w[i] = old * STEP_FACTORS[k % 2]
-                    try:
-                        trial = _side_projector(w, q, side_map)
-                        val = objective(trial[1], other)
-                    except SingularWeightsError:
-                        val = np.inf
+                    trial = _side_projector(w, q, side_map)
+                    val = objective(trial[1], other)
                     if val < best * (1.0 - GAIN_REL_TOL):
                         best, kept[side] = val, trial
                         step = k + 1
@@ -211,12 +206,12 @@ def two_stage_pipeline(basis: LiftingBasis, sample_set: SampleSet,
     Stage 1 completes with identity weights; its lifted estimate provides
     the pilot subspace for weight tuning; stage 2 re-solves the weighted
     program. Returns (weights, stage-2 result). If stage 1 did not
-    converge, its lift is degenerate, tuning falls back, or tuning does
-    not lower its objective (it then returns scaled identity weights,
-    whose program stage 1 has already solved), the stage-1 result is
-    returned with identity weights. The pilot's rank cut sits far below
-    the accuracy of an unconverged stage 1, so weights tuned from one
-    would follow rounding noise.
+    converge, its lift is degenerate, or tuning does not lower its
+    objective (it then returns scaled identity weights, whose program
+    stage 1 has already solved), the stage-1 result is returned with
+    identity weights. The pilot's rank cut sits far below the accuracy of
+    an unconverged stage 1, so weights tuned from one would follow
+    rounding noise.
     """
     ident = identity_weights(basis.dims)
     stage1 = complete(basis, ident, sample_set, observed,
@@ -228,7 +223,7 @@ def two_stage_pipeline(basis: LiftingBasis, sample_set: SampleSet,
     except ValueError:
         return ident, stage1
     tuned = tune_diagonal_weights(basis, sample_set, pilot)
-    if tuned.fell_back or tuned.objective >= tuned.baseline:
+    if tuned.objective >= tuned.baseline:
         return ident, stage1
     stage2 = complete(basis, tuned.weights, sample_set, observed,
                       config=solver_config)

@@ -5,7 +5,7 @@ import pytest
 
 from wlift.experiments import random_mixture
 from wlift.lifting import double_hankel_basis, hankel_basis
-from wlift.scores import (ScoreVector, SingularWeightsError, SubspacePair,
+from wlift.scores import (ORTHONORMAL_TOL, ScoreVector, SubspacePair,
                           _side_map, a_norm_2, a_norm_inf, leverage_scores,
                           lifting_coefficient, probability_floor,
                           scores_to_text, subspace_of, weighted_leverage_scores)
@@ -62,6 +62,25 @@ def test_subspace_pair_rejects_rank_zero():
     # every score divides by the rank, so an empty pair must not be built
     with pytest.raises(ValueError, match="rank 0"):
         SubspacePair(np.zeros((10, 0)), np.zeros((12, 0)))
+
+
+def test_subspace_pair_rejects_non_orthonormal_factors():
+    # the scores read U U^H as the left projector: factors 2U would give
+    # 4x scores, and nearly dependent columns an ill-conditioned Gram
+    sub = subspace_of(hankel_basis(21, 10), synthesize(random_mixture(
+        21, 2, np.random.default_rng(3))))
+    u, v = sub.left, sub.right
+    assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-13
+    dependent = [np.column_stack([u[:, 0], u[:, 0] + eps * u[:, 1]])
+                 for eps in (3e-6, 1e-9)]
+    for left, right in ((2 * u, v), (u, 2 * v),
+                        (u * (1 + 2 * ORTHONORMAL_TOL), v),
+                        *((q, v) for q in dependent)):
+        with pytest.raises(ValueError, match="orthonormal"):
+            SubspacePair(left, right)
+    # a unitary mix of the columns spans the same subspace and passes
+    rot = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    assert SubspacePair(u @ rot, v @ rot).rank == 2
 
 
 def test_leverage_scores_all_ones_hand_value():
@@ -168,7 +187,7 @@ def test_weighted_scores_singular_guard():
         9, 2, np.random.default_rng(1))))
     wl = np.zeros(4)
     wl[0] = 1.0  # kills all but one row; Gram loses rank
-    with pytest.raises(SingularWeightsError):
+    with pytest.raises(ValueError, match="ill-conditioned"):
         weighted_leverage_scores(basis, WeightPair(wl, np.ones(6)), sub)
 
 

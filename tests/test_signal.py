@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from wlift.experiments import noise_sweep
+from wlift.lifting import hankel_basis
 from wlift.signal import (Mixture, SampleSet, add_noise, project,
                           sample_uniform_m, synthesize)
+from wlift.solver import complete
+from wlift.weights import identity_weights
 
 
 def test_synthesize_constant():
@@ -70,6 +74,21 @@ def test_add_noise_rejects_negative_or_nan_bound():
     for bound in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="noise bound"):
             add_noise(np.zeros(4, dtype=complex), bound, seed=0)
+
+
+def test_noise_bounds_reject_bools():
+    # True compares equal to 1.0, so a flag passed as a bound would add
+    # radius-1 noise; every entry point refuses it, as counts do
+    y = np.zeros(21, dtype=complex)
+    sset = sample_uniform_m(21, 15, seed=0)
+    for bound in (True, np.True_, False, np.False_):
+        with pytest.raises(ValueError, match="noise bound"):
+            add_noise(y, bound, seed=0)
+        with pytest.raises(ValueError, match="noise bound"):
+            complete(hankel_basis(21, 10), identity_weights((10, 12)), sset,
+                     project(y, sset), noise_bound=bound)
+        with pytest.raises(ValueError, match="noise bound"):
+            noise_sweep(21, "hankel", 10, 1, 15, [bound], trials=1)
 
 
 def test_add_noise_feasibility_budget():
