@@ -164,7 +164,8 @@ def make_basis(n: int, dims: Tuple[int, int], rows: np.ndarray,
                conjugated: Optional[np.ndarray] = None) -> LiftingBasis:
     """Assemble a basis from flat per-cell arrays.
 
-    Cell j of element `element[j]` (0-based) sits at (rows[j], cols[j]).
+    Cell j of element `element[j]` (0-based) sits at (rows[j], cols[j]),
+    which must lie in the d1 x d2 grid.
     A stable sort groups the cells by element, so each element keeps its
     cells in the order given. `conjugated` is a flat boolean mask over the
     same cells marking those that carry the conjugate of their coordinate
@@ -179,6 +180,8 @@ def make_basis(n: int, dims: Tuple[int, int], rows: np.ndarray,
     rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
     if rows.shape != element.shape or cols.shape != element.shape:
         raise ValueError("rows, cols and element must align")
+    if np.any((rows < 0) | (rows >= dims[0]) | (cols < 0) | (cols >= dims[1])):
+        raise ValueError(f"cells must lie in the {dims[0]} x {dims[1]} grid")
     mask = np.zeros(element.shape, dtype=bool) if conjugated is None \
         else np.asarray(conjugated, dtype=bool)
     if mask.shape != element.shape:

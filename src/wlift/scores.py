@@ -172,6 +172,7 @@ def weighted_leverage_scores(basis: LiftingBasis, weights: WeightPair,
     mirror; the K x K Gram inverses are formed once and shared across n.
     """
     _check_subspace(basis, subspace)
+    weights.check_fits(basis)
     _, left = _side_projector(weights.left_diag, subspace.left,
                               _side_map(basis, "left"))
     _, right = _side_projector(weights.right_diag, subspace.right,

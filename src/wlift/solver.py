@@ -148,9 +148,7 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     if sample_set.universe != basis.n:
         raise ValueError(f"sample set covers {sample_set.universe} indices, "
                          f"the basis {basis.n}")
-    if weights.dims != basis.dims:
-        raise ValueError(f"weights of shape {weights.dims} do not match "
-                         f"the {basis.dims} lift")
+    weights.check_fits(basis)
 
     wl, wr = weights.left_diag, weights.right_diag
     # rescale so the largest cell weight is 1; pure rescaling of the

@@ -59,6 +59,12 @@ class WeightPair:
     def dims(self) -> Tuple[int, int]:
         return self.left_diag.size, self.right_diag.size
 
+    def check_fits(self, basis: LiftingBasis) -> None:
+        """Raise ValueError unless these weights have the basis's lift shape."""
+        if self.dims != basis.dims:
+            raise ValueError(f"weights of shape {self.dims} do not match "
+                             f"the {basis.dims} lift")
+
     def frobenius_normalized(self) -> "WeightPair":
         fl = np.linalg.norm(self.left_diag)
         fr = np.linalg.norm(self.right_diag)
@@ -75,7 +81,6 @@ def identity_weights(dims: Tuple[int, int]) -> WeightPair:
 TUNE_SWEEPS = 4             # coordinate-descent sweeps
 TUNE_REL_TOL = 1e-6         # stop after a sweep with a smaller relative gain
 STEP_FACTORS = (0.5, 2.0)
-SCREEN_REL_TOL = 1e-9       # re-solve steps scored this close to improving
 GAIN_REL_TOL = 1e-12        # a step must gain more than rounding to be kept
 
 
@@ -126,13 +131,11 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
 
     Each side keeps its projector P for the kept weights, and one
     vectorised pass scores all of the side's remaining steps from it in
-    closed form (a rank-one update, see `_stepped_norms`). Only a step
-    that the closed form puts within SCREEN_REL_TOL of an improvement is
-    re-solved, in step order, with the exact per-element norms, and that
-    exact objective decides whether the step is kept. After a kept step
-    the pass starts again from the next step. So the kept steps, sweeps
-    and objective are those of a loop that re-solves every step, at about
-    one Gram solve per kept step. Returns
+    closed form (a rank-one update, see `_stepped_norms`). The first step
+    that pass puts more than GAIN_REL_TOL below the objective is kept: P
+    and the side's norms are re-solved once, their exact objective
+    becomes the one to beat, and the next pass starts from the next step.
+    So a tune makes one Gram solve per side plus one per kept step. Returns
     identity weights when nothing improves (including the fully observed
     case, where the objective is an empty sum). Raises ValueError for a
     pilot whose dimensions do not match the basis.
@@ -141,9 +144,9 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
     d1, d2 = basis.dims
     u, v = pilot_subspace.left, pilot_subspace.right
     unobserved = sample_set.complement()
-    identity = identity_weights((d1, d2)).frobenius_normalized()
     if unobserved.size == 0:
-        return TuneResult(identity, 0.0, 0.0, 0)
+        return TuneResult(identity_weights((d1, d2)).frobenius_normalized(),
+                          0.0, 0.0, 0)
 
     wl, wr = np.ones(d1), np.ones(d2)
     sides = ((wl, u, _side_map(basis, "left")),
@@ -155,12 +158,12 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
         return float((scale * np.maximum(left, right))[unobserved - 1].sum())
 
     kept = [_side_projector(w, q, side_map) for w, q, side_map in sides]
-    # the screen reads the unobserved elements' columns and the pairs they use
-    screened = []
+    # a pass reads the unobserved elements' columns and the pairs they use
+    pass_maps = []
     for _, _, (a, b, m) in sides:
         m = m[:, unobserved - 1]
         used = m.any(axis=1)
-        screened.append((a[used], b[used], m[used]))
+        pass_maps.append((a[used], b[used], m[used]))
     factors = np.array(STEP_FACTORS)
     baseline = best = objective(kept[0][1], kept[1][1])
 
@@ -171,29 +174,23 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
             # step k multiplies w[k // 2] by STEP_FACTORS[k % 2]; score
             # every remaining step, again from the one after a kept step
             step = 0
-            while step < 2 * w.size:
+            while True:
                 steps = np.arange(step, 2 * w.size)
                 moved = _stepped_norms(kept[side][0], steps // 2,
-                                       factors[steps % 2], screened[side])
-                screen = (scale * np.maximum(moved, other[unobserved - 1])
+                                       factors[steps % 2], pass_maps[side])
+                scored = (scale * np.maximum(moved, other[unobserved - 1])
                           ).sum(axis=1)
-                near = screen < best * (1.0 + SCREEN_REL_TOL)
-                step = 2 * w.size
-                for k in steps[near]:
-                    i, old = k // 2, w[k // 2]
-                    w[i] = old * STEP_FACTORS[k % 2]
-                    trial = _side_projector(w, q, side_map)
-                    val = objective(trial[1], other)
-                    if val < best * (1.0 - GAIN_REL_TOL):
-                        best, kept[side] = val, trial
-                        step = k + 1
-                        break
-                    w[i] = old
+                gains = steps[scored < best * (1.0 - GAIN_REL_TOL)]
+                if gains.size == 0:
+                    break
+                k = gains[0]
+                w[k // 2] *= STEP_FACTORS[k % 2]
+                kept[side] = _side_projector(w, q, side_map)
+                best = objective(kept[side][1], other)
+                step = k + 1
         if before - best < TUNE_REL_TOL * max(abs(before), 1.0):
             break
 
-    if best >= baseline:
-        return TuneResult(identity, baseline, baseline, sweeps)
     tuned = WeightPair(wl, wr).frobenius_normalized()
     return TuneResult(tuned, best, baseline, sweeps)
 

@@ -221,6 +221,10 @@ def test_make_basis_rejects_bad_cells():
         make_basis(2, (2, 2), [0], [0, 1], [0, 1])
     with pytest.raises(ValueError):
         make_basis(2, (2, 2), [0, 1], [0, 1], [0, 1], conjugated=[True])
+    # a column or a row outside the 2 x 2 grid, which a flat index wraps
+    for rows, cols in (([0, 0], [0, 3]), ([0, -1], [0, 1])):
+        with pytest.raises(ValueError, match="2 x 2 grid"):
+            make_basis(2, (2, 2), rows, cols, [0, 1])
 
 
 def _duplicate_cell():

@@ -312,8 +312,16 @@ def test_weighted_scores_reject_mismatched_shapes():
         weighted_leverage_scores(basis, identity_weights((31, 31)), sub31)
     sub = subspace_of(basis, synthesize(random_mixture(
         59, 2, np.random.default_rng(4))))
-    with pytest.raises(ValueError):  # 31 weights on 30 subspace rows
+    with pytest.raises(ValueError, match="do not match"):  # 31 on 30 rows
         weighted_leverage_scores(basis, identity_weights((31, 31)), sub)
+    # one entry per side would broadcast, three on the left fail to
+    basis = hankel_basis(21, 10)
+    sub = subspace_of(basis, synthesize(random_mixture(
+        21, 2, np.random.default_rng(4))))
+    for weights in (WeightPair([2.0], [3.0]),
+                    WeightPair(np.ones(3), np.ones(12))):
+        with pytest.raises(ValueError, match="do not match"):
+            weighted_leverage_scores(basis, weights, sub)
 
 
 def test_f0_norm_bounds_random_mixtures():

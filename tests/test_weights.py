@@ -23,10 +23,11 @@ def unobserved_score_sum(basis, weights, sub, sset):
 def reference_tune(basis, sset, sub):
     """The tuner as a plain loop: one weighted_leverage_scores per step.
 
-    Returns (weights or None, objective, sweeps); a step must gain more
-    than GAIN_REL_TOL of the objective to be kept.
+    Returns (weights or None, objective, sweeps, kept steps); a step must
+    gain more than GAIN_REL_TOL of the objective to be kept.
     """
     diags = [np.ones(d) for d in basis.dims]
+    kept_steps = 0
 
     def objective():
         return unobserved_score_sum(basis, WeightPair(*diags), sub, sset)
@@ -42,18 +43,20 @@ def reference_tune(basis, sset, sub):
                     val = objective()
                     if val < best * (1.0 - GAIN_REL_TOL):
                         best = val
+                        kept_steps += 1
                     else:
                         diag[i] = kept
         if before - best < TUNE_REL_TOL * max(abs(before), 1.0):
             break
     if best >= baseline:
-        return None, baseline, sweeps
-    return WeightPair(*diags).frobenius_normalized(), best, sweeps
+        return None, baseline, sweeps, kept_steps
+    return (WeightPair(*diags).frobenius_normalized(), best, sweeps,
+            kept_steps)
 
 
 def assert_matches_reference(basis, sset, sub):
     res = tune_diagonal_weights(basis, sset, sub)
-    weights, objective, sweeps = reference_tune(basis, sset, sub)
+    weights, objective, sweeps, _ = reference_tune(basis, sset, sub)
     assert res.sweeps == sweeps
     if weights is None:
         assert res.objective == res.baseline
@@ -420,7 +423,8 @@ def test_tune_matches_step_by_step_reference():
 def test_tune_refreshes_gram_only_for_kept_steps(monkeypatch):
     # a tune that keeps identity scores every step of a side in one
     # closed-form pass from one Gram solve; a loop that re-solved per
-    # step would make about 4 * d
+    # step would make about 4 * d. A tune that keeps steps solves once
+    # per side and once per kept step, the steps the reference keeps
     import wlift.weights
     calls, passes = [], []
 
@@ -441,3 +445,15 @@ def test_tune_refreshes_gram_only_for_kept_steps(monkeypatch):
     assert res.objective == res.baseline and res.sweeps == 1
     assert sorted(calls) == ["left", "right"]
     assert passes == [60, 60]
+
+    basis = double_hankel_basis(21, 10)
+    sub = subspace_of(basis, synthesize(random_mixture(
+        21, 3, np.random.default_rng(3))))
+    sset = sample_uniform_m(21, 6, seed=3)
+    calls.clear()
+    res = tune_diagonal_weights(basis, sset, sub)
+    weights, _, sweeps, kept_steps = reference_tune(basis, sset, sub)
+    np.testing.assert_array_equal(res.weights.left_diag, weights.left_diag)
+    np.testing.assert_array_equal(res.weights.right_diag, weights.right_diag)
+    assert res.sweeps == sweeps and kept_steps > 0
+    assert len(calls) == 2 + kept_steps
