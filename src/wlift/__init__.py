@@ -1,5 +1,11 @@
 """Harmonic retrieval via weighted lifted-structure low-rank completion."""
 
+import os
+
+# numpy's BLAS runs a thread per core in every pool worker unless pinned
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # a value the user set wins
+
 from .lifting import (LiftingBasis, adjoint, double_hankel_basis, hankel_basis,
                       lift, validate_basis)
 from .scores import (ScoreVector, SubspacePair, a_norm_2, a_norm_inf,

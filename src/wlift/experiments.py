@@ -206,7 +206,9 @@ def phase_transition(grid: PhaseGrid, workers: int = 1) -> SuccessSurface:
     """Mean success per (M, K) cell; deterministic for a fixed base_seed.
 
     workers > 1 spreads the trials of every cell over that many processes,
-    at most one per trial (a fork pool starts every worker at once).
+    at most one per trial (a fork pool starts every worker at once). Each
+    runs one BLAS thread if `wlift` loaded before numpy and no
+    *_NUM_THREADS variable is set; more oversubscribe the cores.
     """
     _check_count("workers", workers)
     trials = [(grid, m, k, t) for k in grid.sparsity_levels

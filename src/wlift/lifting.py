@@ -171,6 +171,10 @@ def make_basis(n: int, dims: Tuple[int, int], rows: np.ndarray,
     same cells marking those that carry the conjugate of their coordinate
     instead of the coordinate itself; None marks none.
     """
+    if len(dims) != 2 or not all(isinstance(v, Integral) and v >= 1
+                                 and not isinstance(v, bool) for v in dims):
+        raise ValueError(f"dims must be two positive integers, got {dims!r}")
+    dims = (int(dims[0]), int(dims[1]))
     element = np.asarray(element, dtype=np.int64)
     if np.any((element < 0) | (element >= n)):
         raise ValueError(f"element indices must lie in [0, {n})")

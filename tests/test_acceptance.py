@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line (visible with pytest -s) and enforces
 its runtime budget. The boundary-band sweep is computed once and shared
-by the weighting and structure comparisons.
+by the weighting and structure comparisons. Trials are counted through
+phase_transition on two processes.
 """
 
 import math
@@ -11,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from wlift.experiments import cell_seed, random_mixture, run_trial
+from wlift.experiments import (PhaseGrid, loglog_slope, noise_sweep,
+                               phase_transition, random_mixture)
 from wlift.lifting import (adjoint, double_hankel_basis, hankel_basis, lift,
                            validate_basis)
 from wlift.scores import (a_norm_2, a_norm_inf, leverage_scores,
@@ -21,12 +23,9 @@ from wlift.signal import sample_uniform_m, synthesize
 from wlift.solver import SolverConfig, complete
 from wlift.weights import identity_weights
 
-from wlift.experiments import noise_sweep, loglog_slope
-
-BAND_CELLS = [(m, k + s)
-              for m in (20, 30, 40)
-              for k in (math.ceil(m * m / 200 + 0.5),)
-              for s in (-1, 1)]
+# sample count M -> the two sparsity levels either side of its boundary
+BAND_CELLS = {m: (k - 1, k + 1) for m in (20, 30, 40)
+              for k in (math.ceil(m * m / 200 + 0.5),)}
 BAND_TRIALS = 50
 
 
@@ -36,14 +35,17 @@ def _check(num: int, label: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {num} failed: {label}{detail}"
 
 
+def _wins(grid: PhaseGrid) -> int:
+    """Successful trials over all of the grid's cells."""
+    rates = phase_transition(grid, workers=2).rates
+    return sum(round(rate * grid.trials) for rate in rates.flat)
+
+
 def _band_successes(structure: str, pencil: int, weighting: str) -> int:
-    wins = 0
-    for m, k in BAND_CELLS:
-        for t in range(BAND_TRIALS):
-            out = run_trial(59, structure, pencil, weighting, m, k,
-                            cell_seed(0, m, k, t))
-            wins += out.success
-    return wins
+    return sum(_wins(PhaseGrid((m,), levels, trials=BAND_TRIALS,
+                               structure=structure, pencil=pencil,
+                               weighting=weighting))
+               for m, levels in BAND_CELLS.items())
 
 
 @pytest.fixture(scope="module")
@@ -121,10 +123,8 @@ def test_criterion_3_f0_norm_bounds():
 
 def test_criterion_4_exact_recovery_regression():
     start = time.perf_counter()
-    easy = sum(run_trial(59, "hankel", 30, "identity", 40, 2,
-                         cell_seed(1, 40, 2, t)).success for t in range(100))
-    hard = sum(run_trial(59, "hankel", 30, "identity", 5, 15,
-                         cell_seed(1, 5, 15, t)).success for t in range(100))
+    easy = _wins(PhaseGrid((40,), (2,), trials=100, base_seed=1))
+    hard = _wins(PhaseGrid((5,), (15,), trials=100, base_seed=1))
     elapsed = time.perf_counter() - start
     ok = easy >= 90 and hard <= 5 and elapsed < 15 * 60
     _check(4, "phase-diagram bright/dark regression", ok,

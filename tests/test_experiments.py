@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wlift
 from wlift import experiments
 from wlift.experiments import (PhaseGrid, SuccessSurface, build_basis,
                                cell_seed, emit_dat, loglog_slope, noise_sweep,
@@ -171,6 +176,22 @@ def test_phase_transition_workers_match_serial():
     for workers in (2, 3):
         pooled = phase_transition(grid, workers=workers)
         np.testing.assert_array_equal(pooled.rates, serial.rates)
+
+
+def test_import_pins_blas_to_one_thread_unless_set():
+    # numpy's BLAS starts a thread per core, which every pool worker inherits
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(Path(wlift.__file__).parents[1])
+    code = f"import wlift, os; print(*(os.environ[v] for v in {names!r}))"
+
+    def pinned(**preset):
+        return subprocess.run([sys.executable, "-c", code], env=env | preset,
+                              capture_output=True, text=True,
+                              check=True).stdout.split()
+
+    assert pinned() == ["1", "1", "1"]
+    assert pinned(OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]
 
 
 def test_phase_transition_rejects_no_workers():

@@ -7,6 +7,9 @@ import pytest
 
 from wlift.lifting import (LiftOperator, adjoint, double_hankel_basis,
                            hankel_basis, lift, make_basis, validate_basis)
+from wlift.scores import (leverage_scores, subspace_of,
+                          weighted_leverage_scores)
+from wlift.weights import identity_weights
 
 from oracles import dense_element
 
@@ -225,6 +228,20 @@ def test_make_basis_rejects_bad_cells():
     for rows, cols in (([0, 0], [0, 3]), ([0, -1], [0, 1])):
         with pytest.raises(ValueError, match="2 x 2 grid"):
             make_basis(2, (2, 2), rows, cols, [0, 1])
+    # a float, a bool, a zero or a missing grid dimension
+    for dims in ((2, 2.0), (True, 2), (2, 0), (2,)):
+        with pytest.raises(ValueError, match="dims"):
+            make_basis(2, dims, [0, 1], [0, 1], [0, 1])
+
+
+def test_make_basis_stores_dims_as_int_tuple():
+    # a list or numpy ints would fail the weights' and subspace's dims checks
+    basis = make_basis(2, [2, np.int64(2)], [0, 1], [0, 1], [0, 1])
+    assert basis.dims == (2, 2)
+    assert all(type(v) is int for v in basis.dims)
+    sub = subspace_of(basis, np.array([1.0, 2.0]))
+    mu = weighted_leverage_scores(basis, identity_weights(basis.dims), sub)
+    np.testing.assert_allclose(mu.values, leverage_scores(basis, sub).values)
 
 
 def _duplicate_cell():
