@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 from numbers import Integral, Real
 from pathlib import Path
@@ -208,18 +206,23 @@ def phase_transition(grid: PhaseGrid, workers: int = 1) -> SuccessSurface:
     workers > 1 spreads the trials of every cell over that many processes,
     at most one per trial (a fork pool starts every worker at once). Each
     runs one BLAS thread if `wlift` loaded before numpy and no
-    *_NUM_THREADS variable is set; more oversubscribe the cores.
+    *_NUM_THREADS variable is set; more oversubscribe the cores. Only
+    workers > 1 starts worker processes or loads `multiprocessing`.
     """
     _check_count("workers", workers)
     trials = [(grid, m, k, t) for k in grid.sparsity_levels
               for m in grid.sample_counts for t in range(grid.trials)]
     workers = min(workers, len(trials))
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
-        wins = np.fromiter((pool.map if pool else map)(_trial_success, trials),
-                           dtype=bool, count=len(trials))
+    if workers == 1:
+        wins = list(map(_trial_success, trials))
+    else:
+        # imported here so that nothing else pays for loading the pool
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            wins = list(pool.map(_trial_success, trials))
     shape = (len(grid.sparsity_levels), len(grid.sample_counts), grid.trials)
-    return SuccessSurface(grid, wins.reshape(shape).sum(axis=2) / grid.trials)
+    rates = np.reshape(wins, shape).sum(axis=2) / grid.trials
+    return SuccessSurface(grid, rates)
 
 
 def noise_sweep(n: int, structure: str, pencil: int, k: int, m: int,

@@ -79,19 +79,27 @@ class LiftOperator:
     adjoint, the adjoint for the real inner products, one signed
     `bincount` that adds the table's terms in table order: grid order,
     term 0 then term 1, positions outside every pattern adding 0 * m.
-    Patterns are disjoint, so adjoint(forward(.)) is diagonal with entries
-    normal_diag, the per-element sums of squared cell weights (omega_n for
-    unit cells).
+    Patterns must be disjoint (a shared grid position is a ValueError:
+    forward would keep one of its cells and drop the other), so
+    adjoint(forward(.)) is diagonal with entries normal_diag, the
+    per-element sums of squared cell weights (omega_n for unit cells).
     """
 
     def __init__(self, basis: LiftingBasis, cell: Optional[np.ndarray] = None):
         d1, d2 = basis.dims
+        flat = basis.rows * d2 + basis.cols
+        shared = np.flatnonzero(_repeated(flat))
+        if shared.size:
+            j = shared[0]
+            raise ValueError(f"two cells share grid position ({basis.rows[j]}, "
+                             f"{basis.cols[j]}); the lift needs disjoint "
+                             "patterns")
         cell = np.ones(basis.rows.size) if cell is None else cell
         self.dims, self.n, self.dtype = basis.dims, basis.n, complex
         self.normal_diag = basis.element_sum(cell ** 2)
         # each cell's (re, im) floats in the float view; positions outside
         # every pattern read 0 * v[0]
-        at = (2 * (basis.rows * d2 + basis.cols)[:, None] + [0, 1]).ravel()
+        at = (2 * flat[:, None] + [0, 1]).ravel()
         self.source = np.zeros((1, d1, 2 * d2), dtype=np.int64)
         self.coef = np.zeros((1, d1, 2 * d2))
         self.source.ravel()[at] = (2 * basis.element[:, None] + [0, 1]).ravel()

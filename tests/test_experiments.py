@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -194,6 +195,25 @@ def test_import_pins_blas_to_one_thread_unless_set():
     assert pinned(OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]
 
 
+def test_only_a_pooled_sweep_loads_multiprocessing():
+    # a serial sweep and the other commands never start a worker process
+    env = os.environ | {"PYTHONPATH": str(Path(wlift.__file__).parents[1])}
+    code = ("import sys, wlift.cli\n"
+            "from wlift.experiments import PhaseGrid, phase_transition\n"
+            "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+            "grid = PhaseGrid((21,), (1,), trials={trials}, n=21, pencil=10)\n"
+            "phase_transition(grid, workers={workers})\n"
+            "print(*(name in sys.modules for name in pool))")
+
+    def loaded(trials, workers):
+        return subprocess.run(
+            [sys.executable, "-c", code.format(trials=trials, workers=workers)],
+            env=env, capture_output=True, text=True, check=True).stdout.split()
+
+    assert loaded(trials=1, workers=1) == ["False", "False"]
+    assert loaded(trials=2, workers=2) == ["True", "True"]
+
+
 def test_phase_transition_rejects_no_workers():
     grid = PhaseGrid((21,), (1,), trials=1, n=21, pencil=10)
     for workers in (0, -1):
@@ -224,7 +244,7 @@ def test_phase_transition_sizes_pool_by_trials(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     two = PhaseGrid((10, 21), (1,), trials=1, n=21, pencil=10)
     np.testing.assert_array_equal(phase_transition(two, workers=8).rates,
                                   phase_transition(two).rates)

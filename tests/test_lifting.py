@@ -9,6 +9,8 @@ from wlift.lifting import (LiftOperator, adjoint, double_hankel_basis,
                            hankel_basis, lift, make_basis, validate_basis)
 from wlift.scores import (leverage_scores, subspace_of,
                           weighted_leverage_scores)
+from wlift.signal import SampleSet
+from wlift.solver import complete
 from wlift.weights import identity_weights
 
 from oracles import dense_element
@@ -275,6 +277,20 @@ def test_validate_flags_injected_duplicate(broken, flag):
     assert not getattr(report, flag)
     assert not report.all_pass
     assert report.first_failure[0] == flag
+
+
+def test_lift_path_rejects_a_shared_cell():
+    # elements 0 and 1 both sit at (0, 0): a lift would keep one of them,
+    # and complete() would drop the other from its program
+    basis = make_basis(3, (2, 2), [0, 0, 1], [0, 0, 1], [0, 1, 2])
+    assert validate_basis(basis).first_failure == ("orthogonal", 1)
+    with pytest.raises(ValueError, match="share grid position"):
+        lift(basis, np.ones(3))
+    with pytest.raises(ValueError, match="share grid position"):
+        adjoint(basis, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="share grid position"):
+        complete(basis, identity_weights(basis.dims), SampleSet(3, [1, 3]),
+                 np.ones(2))
 
 
 def test_adjoint_dim_mismatch():
