@@ -136,26 +136,21 @@ def cmd_tune(resolved, args):
     return "\n".join(lines) + "\n", 0
 
 
+def _sweep_args(resolved: dict) -> dict:
+    """Sweep keywords: d is the pencil, a list a tuple, no SolverConfig key."""
+    return {("pencil" if k == "d" else k): tuple(v) if type(v) is list else v
+            for k, v in resolved.items() if k not in SOLVER_KEYS}
+
+
 def cmd_phase(resolved, args):
-    """Writes the .dat mesh itself; PhaseGrid's defaults fill unset fields."""
-    grid = PhaseGrid(
-        sample_counts=tuple(resolved.get("sample_counts", range(5, 60, 5))),
-        sparsity_levels=tuple(resolved.get("sparsity_levels", range(1, 11))),
-        solver=_solver_from(resolved),
-        **{("pencil" if k == "d" else k): v for k, v in resolved.items()
-           if k not in SOLVER_KEYS + LIST_KEYS})
-    surface = phase_transition(grid, workers=args.workers)
-    emit_dat(surface, args.out)
+    """Writes the .dat mesh itself; PhaseGrid holds every default."""
+    grid = PhaseGrid(**_sweep_args(resolved), solver=_solver_from(resolved))
+    emit_dat(phase_transition(grid, workers=args.workers), args.out)
     return None, 0
 
 
 def cmd_noise_sweep(resolved, args):
-    rows = noise_sweep(resolved.get("n", 59), resolved.get("structure", "hankel"),
-                       resolved.get("d", 30), resolved.get("k", 2),
-                       resolved.get("m", 40),
-                       resolved.get("etas", [1e-4, 1e-3, 1e-2]),
-                       resolved.get("trials", 20),
-                       base_seed=resolved.get("base_seed", 0),
+    rows = noise_sweep(**_sweep_args(resolved),
                        solver_config=_solver_from(resolved))
     lines = ["eta mean_lifted_error"]
     lines += [f"{eta:.6g} {err:.6f}" for eta, err in rows]

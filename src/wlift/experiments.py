@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, asdict
 from numbers import Integral, Real
 from pathlib import Path
@@ -43,8 +44,8 @@ MIN_DRAW_PROBABILITY = 1e-6
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    sample_counts: Tuple[int, ...]
-    sparsity_levels: Tuple[int, ...]
+    sample_counts: Tuple[int, ...] = tuple(range(5, 60, 5))
+    sparsity_levels: Tuple[int, ...] = tuple(range(1, 11))
     trials: int = 20
     structure: str = "hankel"
     pencil: int = 30
@@ -204,15 +205,18 @@ def phase_transition(grid: PhaseGrid, workers: int = 1) -> SuccessSurface:
     """Mean success per (M, K) cell; deterministic for a fixed base_seed.
 
     workers > 1 spreads the trials of every cell over that many processes,
-    at most one per trial (a fork pool starts every worker at once). Each
+    at most one per trial and one per usable CPU (a fork pool starts every
+    worker at once, and more than the cores only oversubscribe them). Each
     runs one BLAS thread if `wlift` loaded before numpy and no
-    *_NUM_THREADS variable is set; more oversubscribe the cores. Only
-    workers > 1 starts worker processes or loads `multiprocessing`.
+    *_NUM_THREADS variable is set. Only a pool of more than one worker
+    starts worker processes or loads `multiprocessing`.
     """
     _check_count("workers", workers)
     trials = [(grid, m, k, t) for k in grid.sparsity_levels
               for m in grid.sample_counts for t in range(grid.trials)]
-    workers = min(workers, len(trials))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, len(trials), cpus)
     if workers == 1:
         wins = list(map(_trial_success, trials))
     else:
@@ -225,9 +229,10 @@ def phase_transition(grid: PhaseGrid, workers: int = 1) -> SuccessSurface:
     return SuccessSurface(grid, rates)
 
 
-def noise_sweep(n: int, structure: str, pencil: int, k: int, m: int,
-                etas: Sequence[float], trials: int, base_seed: int = 0,
-                solver_config: SolverConfig = SolverConfig()
+def noise_sweep(n: int = 59, structure: str = "hankel", pencil: int = 30,
+                k: int = 2, m: int = 40,
+                etas: Sequence[float] = (1e-4, 1e-3, 1e-2), trials: int = 20,
+                base_seed: int = 0, solver_config: SolverConfig = SolverConfig()
                 ) -> List[Tuple[float, float]]:
     """Mean lifted-domain error per noise level, fixed instance family.
 
@@ -258,8 +263,8 @@ def noise_sweep(n: int, structure: str, pencil: int, k: int, m: int,
 def loglog_slope(rows: Sequence[Tuple[float, float]]) -> float:
     """Least-squares slope of log(error) against log(eta), zero rows dropped."""
     pts = [(e, v) for e, v in rows if e > 0 and v > 0]
-    if len(pts) < 2:
-        raise ValueError("need at least two positive (eta, error) pairs")
+    if len({e for e, _ in pts}) < 2:  # one eta fits no line
+        raise ValueError("need positive errors at two or more distinct etas")
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     return float(np.polyfit(x, y, 1)[0])
@@ -269,7 +274,8 @@ def emit_dat(surface: SuccessSurface, path) -> None:
     """Write the mesh-plot .dat file plus a JSON metadata sidecar.
 
     Body: header "M K C", then one "M K rate" row per cell, K-major, so
-    the column count equals the number of M values.
+    the column count equals the number of M values. The sidecar is the
+    grid itself, `asdict(grid)` with sorted keys.
     """
     path = Path(path)
     grid = surface.grid
@@ -279,20 +285,7 @@ def emit_dat(surface: SuccessSurface, path) -> None:
             lines.append(f"{m} {k} {surface.rates[ki, mi]:.6f}")
     try:
         path.write_text("\n".join(lines) + "\n")
-        meta = {
-            "n": grid.n,
-            "structure": grid.structure,
-            "pencil": grid.pencil,
-            "weighting": grid.weighting,
-            "sample_counts": list(grid.sample_counts),
-            "sparsity_levels": list(grid.sparsity_levels),
-            "trials": grid.trials,
-            "base_seed": grid.base_seed,
-            "min_separation": grid.min_separation,
-            "solver": asdict(grid.solver),
-        }
         path.with_suffix(path.suffix + ".meta.json").write_text(
-            json.dumps(meta, indent=2) + "\n")
+            json.dumps(asdict(grid), indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing surface to {path}: {exc}") from exc
-

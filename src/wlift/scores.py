@@ -35,6 +35,7 @@ __all__ = [
 GRAM_CONDITION_LIMIT = 1e12
 ORTHONORMAL_TOL = 1e-10
 RANK_TOL = 1e-8
+B1 = 3.0  # probability_floor's b1: the smallest the theorem allows
 
 
 @dataclass(frozen=True)
@@ -195,16 +196,13 @@ def lifting_coefficient(basis: LiftingBasis) -> float:
     return float(sum((per_row.max(axis=1) / basis.support_counts).tolist()))
 
 
-def probability_floor(scores: ScoreVector, r_l: float, n: int,
-                      b1: float = 3.0) -> np.ndarray:
+def probability_floor(scores: ScoreVector, r_l: float, n: int) -> np.ndarray:
     """Per-index sampling floor min{1, max{1, R^2 c mu_n K^2 log N} / N}.
 
-    c = 192^2 (b1 + 1) with b1 >= 3; the inner max keeps the floor at 1/N
-    when the score term is negligible.
+    c = 192^2 (B1 + 1); the inner max keeps the floor at 1/N when the
+    score term is negligible.
     """
-    if not b1 >= 3:
-        raise ValueError("b1 must be at least 3")
-    c = 192.0 ** 2 * (b1 + 1.0)
+    c = 192.0 ** 2 * (B1 + 1.0)
     k = scores.rank_used
     inner = np.maximum(1.0, r_l ** 2 * c * scores.values * k ** 2 * math.log(n))
     return np.minimum(1.0, inner / n)

@@ -166,7 +166,7 @@ def test_criterion_8_probability_floor_saturates():
     basis = hankel_basis(59, 30)
     mix = random_mixture(59, 2, np.random.default_rng(3))
     mu = leverage_scores(basis, subspace_of(basis, synthesize(mix)))
-    floor = probability_floor(mu, lifting_coefficient(basis), 59, b1=3.0)
+    floor = probability_floor(mu, lifting_coefficient(basis), 59)
     elapsed = time.perf_counter() - start
     ok = bool(np.all(floor == 1.0)) and elapsed < 1
     _check(8, "sample-complexity floor saturates at desk scale", ok,

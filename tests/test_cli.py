@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wlift.cli import build_parser, main
-from wlift.experiments import _draw
+from wlift.experiments import PhaseGrid, SuccessSurface, _draw, noise_sweep
 from wlift.lifting import hankel_basis
 from wlift.scores import subspace_of
 from wlift.weights import tune_diagonal_weights
@@ -306,6 +306,31 @@ def test_noise_sweep_stdout(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "eta mean_lifted_error"
     assert len(lines) == 4  # three default noise levels
+
+
+def test_phase_defaults_are_phase_grids(tmp_path, monkeypatch):
+    # the CLI adds no default of its own: an empty config is PhaseGrid()
+    grids = []
+
+    def sweep(grid, workers):
+        grids.append(grid)
+        return SuccessSurface(grid, np.zeros((len(grid.sparsity_levels),
+                                              len(grid.sample_counts))))
+
+    monkeypatch.setattr("wlift.cli.phase_transition", sweep)
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("{}")
+    assert main(["phase", "--config", str(cfg),
+                 "--out", str(tmp_path / "mesh.dat")]) == 0
+    assert grids == [PhaseGrid()]
+
+
+def test_noise_sweep_defaults_are_noise_sweeps(capsys):
+    assert main(["noise-sweep", "--trials", "1"]) == 0
+    rows = [line.split() for line in
+            capsys.readouterr().out.strip().splitlines()[1:]]
+    assert rows == [[f"{eta:.6g}", f"{err:.6f}"]
+                    for eta, err in noise_sweep(trials=1)]
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -198,9 +199,10 @@ def test_import_pins_blas_to_one_thread_unless_set():
 def test_only_a_pooled_sweep_loads_multiprocessing():
     # a serial sweep and the other commands never start a worker process
     env = os.environ | {"PYTHONPATH": str(Path(wlift.__file__).parents[1])}
-    code = ("import sys, wlift.cli\n"
+    code = ("import os, sys, wlift.cli\n"
             "from wlift.experiments import PhaseGrid, phase_transition\n"
             "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+            "os.sched_getaffinity = lambda pid: {{0, 1}}  # two CPUs\n"
             "grid = PhaseGrid((21,), (1,), trials={trials}, n=21, pencil=10)\n"
             "phase_transition(grid, workers={workers})\n"
             "print(*(name in sys.modules for name in pool))")
@@ -245,6 +247,7 @@ def test_phase_transition_sizes_pool_by_trials(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     two = PhaseGrid((10, 21), (1,), trials=1, n=21, pencil=10)
     np.testing.assert_array_equal(phase_transition(two, workers=8).rates,
                                   phase_transition(two).rates)
@@ -257,6 +260,17 @@ def test_phase_transition_sizes_pool_by_trials(monkeypatch):
     np.testing.assert_array_equal(phase_transition(three, workers=8).rates,
                                   phase_transition(three).rates)
     assert sizes == [2, 3]
+    # and at most one per CPU the process may run on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5})
+    phase_transition(three, workers=500)
+    assert sizes == [2, 3, 2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4})
+    phase_transition(three, workers=500)
+    assert sizes == [2, 3, 2]  # one CPU runs in this process
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    phase_transition(three, workers=500)
+    assert sizes == [2, 3, 2, 2]
 
 
 def test_phase_transition_monotone_in_samples():
@@ -281,9 +295,10 @@ def test_emit_dat_round_trip(tmp_path):
                                "20 2 0.250000\n"
                                "30 2 0.750000\n"
                                "40 2 1.000000\n")
+    # the sidecar is the grid record, JSON turning its tuples into lists
     meta = json.loads(out.with_suffix(".dat.meta.json").read_text())
-    assert meta["sample_counts"] == [20, 30, 40]
-    assert meta["trials"] == 1
+    assert meta == {**asdict(grid), "sample_counts": [20, 30, 40],
+                    "sparsity_levels": [1, 2]}
 
 
 def test_emit_dat_unwritable_path(tmp_path):
@@ -300,6 +315,11 @@ def test_loglog_slope_exact_power_law():
     assert abs(loglog_slope(rows) - 2.0) < 1e-12
     with pytest.raises(ValueError):
         loglog_slope([(0.0, 1.0)])
+    # rows at one eta fit no line, however many there are
+    for rows in ([(1e-3, 0.1), (1e-3, 0.2)],
+                 [(0.0, 0.3), (1e-3, 0.1), (1e-3, 0.2)]):
+        with pytest.raises(ValueError, match="distinct etas"):
+            loglog_slope(rows)
 
 
 def test_noise_sweep_zero_eta_row():
