@@ -80,6 +80,12 @@ class PhaseGrid:
             raise ValueError("min_separation must be a real number, "
                              f"got {self.min_separation!r}")
         _check_separation(max(self.sparsity_levels), self.min_separation)
+        # Python scalars, so that asdict(grid) is JSON-ready
+        for name in ("sample_counts", "sparsity_levels"):
+            object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
+        for name in ("trials", "pencil", "n", "base_seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "min_separation", float(self.min_separation))
 
 
 @dataclass(frozen=True)
@@ -283,9 +289,9 @@ def emit_dat(surface: SuccessSurface, path) -> None:
     for ki, k in enumerate(grid.sparsity_levels):
         for mi, m in enumerate(grid.sample_counts):
             lines.append(f"{m} {k} {surface.rates[ki, mi]:.6f}")
+    meta = json.dumps(asdict(grid), indent=2, sort_keys=True) + "\n"
     try:
         path.write_text("\n".join(lines) + "\n")
-        path.with_suffix(path.suffix + ".meta.json").write_text(
-            json.dumps(asdict(grid), indent=2, sort_keys=True) + "\n")
+        path.with_suffix(path.suffix + ".meta.json").write_text(meta)
     except OSError as exc:
         raise OSError(f"failed writing surface to {path}: {exc}") from exc

@@ -9,6 +9,9 @@ weights are diagonal and the lifting patterns are disjoint. One
 `LiftOperator` applies the lift and its adjoint; for a centro-Hermitian
 weighted lift (double-Hankel with identity or mirror-symmetric weights)
 it is the real form, with the same singular values in real arithmetic.
+ADMM runs in scaled form (Boyd et al. 2011, sec. 3.1.1), U = Lambda / rho:
+rho starts at PENALTY = 1 and only doubles or halves, so scaling by this
+power of two is exact and the iterates are those of the unscaled form.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ class SolverConfig:
                 and not isinstance(self.rel_tol, bool)
                 and 0 < self.rel_tol < math.inf):
             raise ValueError("rel_tol must be positive and finite")
+        object.__setattr__(self, "max_iters", int(self.max_iters))
+        object.__setattr__(self, "rel_tol", float(self.rel_tol))
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,8 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     Works through the eigendecomposition of the smaller Gram matrix
     B B^H (B = m, or m^H when m is tall), which is cheaper than an SVD
     of m: with B B^H = U diag(s^2) U^H, the result is
-    U_k diag(1 - tau / s_k) U_k^H B over the pairs with s_k > tau.
+    U_k diag(1 - tau / s_k) U_k^H B over the pairs with s_k > tau, a
+    suffix of `eigh`'s ascending order.
     A real m stays real, so its Gram matrix takes the real `eigh`.
     """
     if not tau >= 0:
@@ -85,9 +91,9 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     b = m.conj().T if tall else m
     w, u = np.linalg.eigh(b @ b.conj().T)
     s = np.sqrt(np.maximum(w, 0.0))
-    keep = s > tau
-    uk = u[:, keep]
-    out = (uk * (1.0 - tau / s[keep])) @ (uk.conj().T @ b)
+    j = s.searchsorted(tau, side="right")
+    uk = u[:, j:]
+    out = (uk * (1.0 - tau / s[j:])) @ (uk.conj().T @ b)
     return out.conj().T if tall else out
 
 
@@ -158,32 +164,33 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     if peak <= 0:
         raise ValueError("weights annihilate the lift")
     op = LiftOperator(basis, cell / peak)
-    # Z and Lambda live in the lift's real coordinates when it has them
+    # Z and U live in the lift's real coordinates when it has them
     op = op.real_form() or op
     if np.any(op.normal_diag <= 0):
         raise ValueError("weights annihilate some coordinate of the lift")
     d1, d2 = basis.dims
-    n = basis.n
     obs0 = sample_set.indices - 1
     radius = None if noise_bound is None \
         else float(noise_bound) * np.sqrt(sample_set.size)
 
     rho = PENALTY
-    g = np.zeros(n, dtype=complex)
+    inv_diag = 1.0 / op.normal_diag
+    g = np.zeros(basis.n, dtype=complex)
     g[obs0] = observed
     bg = op.forward(g)
     z = np.zeros_like(bg)
-    lam = np.zeros_like(bg)
+    u = np.zeros_like(bg)  # the scaled dual Lambda / rho
     abs_eps = ABS_TOL * np.sqrt(d1 * d2)
     primal = dual = np.inf
+    # zbound >= norm(z); slack covers _norm's rounding (about 1e-13)
+    zbound, slack = 0.0, 1.0 + 1e-6
     converged = False
     it = 0
 
     for it in range(1, config.max_iters + 1):
-        scaled_lam = lam / rho
-        z_new = svt(bg + scaled_lam, 1.0 / rho)
+        z_new = svt(bg + u, 1.0 / rho)
 
-        g = op.adjoint(z_new - scaled_lam) / op.normal_diag
+        g = op.adjoint(z_new - u) * inv_diag
         if radius is None:
             g[obs0] = observed
         else:
@@ -191,22 +198,32 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
 
         bg = op.forward(g)  # also the next iteration's lift of g
         r = bg - z_new
-        s = rho * (z_new - z)
-        lam += rho * r
+        u += r
+        step = _norm(z_new - z)
         z = z_new
 
         primal = _norm(r)
-        dual = _norm(s)
-        eps_pri = abs_eps + config.rel_tol * max(_norm(bg), _norm(z))
-        # the dual tolerance needs norm(lam) only once the primal one holds
-        if primal <= eps_pri and dual <= abs_eps + config.rel_tol * _norm(lam):
-            converged = True
-            break
+        dual = rho * step
+        zbound = (zbound + step) * slack
+        # triangle inequality: norm(z_new) <= norm(z) + step, and
+        # norm(bg) <= norm(z) + primal, so a primal above the tolerance at
+        # zbound + primal fails the exact test too (NaN and inf take it)
+        if not primal > abs_eps + config.rel_tol * (zbound + primal) * slack:
+            znorm = _norm(z)
+            zbound = znorm * slack
+            eps_pri = abs_eps + config.rel_tol * max(_norm(bg), znorm)
+            # the dual tolerance needs norm(Lambda) only if primal passes
+            if primal <= eps_pri \
+                    and dual <= abs_eps + config.rel_tol * (rho * _norm(u)):
+                converged = True
+                break
         # residual balancing keeps rho useful across grid cells
         if primal > 10 * dual:
             rho *= 2.0
+            u *= 0.5
         elif dual > 10 * primal:
             rho /= 2.0
+            u *= 2.0
 
     objective = float(peak) * float(np.linalg.svd(bg, compute_uv=False).sum())
     return CompletionResult(g, it, primal, dual, objective, converged)

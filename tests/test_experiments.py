@@ -301,6 +301,37 @@ def test_emit_dat_round_trip(tmp_path):
                     "sparsity_levels": [1, 2]}
 
 
+@pytest.mark.parametrize("numpy_field", [
+    {"base_seed": np.uint8(3)},
+    {"min_separation": np.float32(0.01)},
+    {"solver": SolverConfig(max_iters=np.int64(5))},
+])
+def test_emit_dat_records_grids_built_from_numpy_scalars(tmp_path,
+                                                         numpy_field):
+    # the grid and its solver settings store Python scalars, so the sidecar
+    # serialises and reads back as the grid's record
+    grid = PhaseGrid((np.int64(20),), (np.int32(2),), trials=np.int64(2),
+                     **numpy_field)
+    out = tmp_path / "mesh.dat"
+    emit_dat(SuccessSurface(grid, np.array([[0.5]])), out)
+    meta = json.loads(out.with_suffix(".dat.meta.json").read_text())
+    assert meta == json.loads(json.dumps(asdict(grid)))
+    assert PhaseGrid(**{**meta, "solver": SolverConfig(**meta["solver"]),
+                        "sample_counts": tuple(meta["sample_counts"]),
+                        "sparsity_levels": tuple(meta["sparsity_levels"])}
+                     ) == grid
+
+
+def test_emit_dat_writes_neither_file_when_the_record_fails(tmp_path):
+    # both texts are built before either file is written
+    grid = PhaseGrid((20,), (1,), trials=1)
+    object.__setattr__(grid, "base_seed", np.uint8(3))  # past the check
+    out = tmp_path / "mesh.dat"
+    with pytest.raises(TypeError):
+        emit_dat(SuccessSurface(grid, np.array([[1.0]])), out)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_emit_dat_unwritable_path(tmp_path):
     grid = PhaseGrid((20,), (1,), trials=1)
     surface = SuccessSurface(grid, np.array([[1.0]]))

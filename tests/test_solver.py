@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from wlift.experiments import random_mixture
-from wlift.lifting import double_hankel_basis, hankel_basis, lift
+from wlift.lifting import LiftOperator, double_hankel_basis, hankel_basis, lift
 from wlift.signal import (Mixture, SampleSet, add_noise,
                           sample_uniform_m, synthesize)
-from wlift.solver import (CompletionResult, SolverConfig, complete,
-                          relative_error, svt)
+from wlift.solver import (ABS_TOL, PENALTY, CompletionResult, SolverConfig,
+                          _ball_project, _norm, complete, relative_error, svt)
 from wlift.weights import WeightPair, identity_weights
 
 
@@ -92,6 +94,107 @@ def test_complete_calls_module_svt_once_per_iteration(monkeypatch):
                       y[sset.indices - 1])
     assert result.iterations > 1
     assert len(calls) == result.iterations
+
+
+def _masked_svt(m, tau):
+    """svt selecting its kept pairs with a boolean mask."""
+    tall = m.shape[0] > m.shape[1]
+    b = m.conj().T if tall else m
+    w, u = np.linalg.eigh(b @ b.conj().T)
+    s = np.sqrt(np.maximum(w, 0.0))
+    keep = s > tau
+    out = (u[:, keep] * (1.0 - tau / s[keep])) @ (u[:, keep].conj().T @ b)
+    return out.conj().T if tall else out
+
+
+def unscaled_admm(basis, sset, observed, radius, config):
+    """complete() with unit weights in the unscaled form: it keeps Lambda,
+    divides it by rho every iteration and computes all four norms."""
+    op = LiftOperator(basis, np.ones(basis.rows.size))
+    op = op.real_form() or op
+    obs0 = sset.indices - 1
+    rho = PENALTY
+    g = np.zeros(basis.n, dtype=complex)
+    g[obs0] = observed
+    bg = op.forward(g)
+    z, lam = np.zeros_like(bg), np.zeros_like(bg)
+    abs_eps = ABS_TOL * np.sqrt(basis.dims[0] * basis.dims[1])
+    for it in range(1, config.max_iters + 1):
+        scaled_lam = lam / rho
+        z_new = _masked_svt(bg + scaled_lam, 1.0 / rho)
+        g = op.adjoint(z_new - scaled_lam) / op.normal_diag
+        if radius is None:
+            g[obs0] = observed
+        else:
+            _ball_project(g, obs0, observed, radius)
+        bg = op.forward(g)
+        r, s = bg - z_new, rho * (z_new - z)
+        lam += rho * r
+        z = z_new
+        primal, dual = _norm(r), _norm(s)
+        eps_pri = abs_eps + config.rel_tol * max(_norm(bg), _norm(z))
+        converged = bool(primal <= eps_pri and
+                         dual <= abs_eps + config.rel_tol * _norm(lam))
+        if converged:
+            break
+        if primal > 10 * dual:
+            rho *= 2.0
+        elif dual > 10 * primal:
+            rho /= 2.0
+    objective = float(np.linalg.svd(bg, compute_uv=False).sum())
+    return CompletionResult(g, it, primal, dual, objective, converged)
+
+
+@pytest.mark.parametrize("case", ["hankel", "double-hankel", "capped", "noisy"])
+def test_complete_matches_the_unscaled_loop_bit_for_bit(case):
+    # the scaled dual, the reciprocal g-step, the suffix SVT and the bound
+    # on norm(z) are exact rewrites because rho stays a power of two
+    structure, m, k, eta, config = {
+        "hankel": (hankel_basis, 30, 4, None, SolverConfig()),
+        "double-hankel": (double_hankel_basis, 30, 4, None, SolverConfig()),
+        "capped": (hankel_basis, 20, 10, None, SolverConfig(max_iters=150)),
+        "noisy": (hankel_basis, 40, 2, 1e-3, SolverConfig()),
+    }[case]
+    basis = structure(59, 40 if structure is double_hankel_basis else 30)
+    y = synthesize(random_mixture(59, k, np.random.default_rng(11)))
+    sset = sample_uniform_m(59, m, seed=5)
+    obs = (y if eta is None else add_noise(y, eta, seed=3))[sset.indices - 1]
+    radius = None if eta is None else eta * np.sqrt(m)
+    got = complete(basis, identity_weights(basis.dims), sset, obs,
+                   noise_bound=eta, config=config)
+    want = unscaled_admm(basis, sset, obs, radius, config)
+    assert got.converged == (case != "capped")
+    assert np.array_equal(got.estimate, want.estimate)
+    assert (got.iterations, got.primal_residual, got.dual_residual,
+            got.objective, got.converged) == (
+        want.iterations, want.primal_residual, want.dual_residual,
+        want.objective, want.converged)
+
+
+def test_capped_complete_computes_two_norms_per_iteration(monkeypatch):
+    # far from the tolerance the bound on norm(z) skips norm(bg) and
+    # norm(z); only the primal and step norms remain
+    import wlift.solver
+    calls = []
+    original = wlift.solver._norm
+
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(wlift.solver, "_norm", counting)
+    basis = hankel_basis(59, 30)
+    y = synthesize(random_mixture(59, 10, np.random.default_rng(11)))
+    sset = sample_uniform_m(59, 20, seed=5)
+    result = complete(basis, identity_weights(basis.dims), sset,
+                      y[sset.indices - 1], config=SolverConfig(max_iters=150))
+    assert not result.converged
+    assert len(calls) <= 2 * result.iterations
+
+
+def test_penalty_is_a_power_of_two():
+    # the scaled dual is exact only while rho is a power of two
+    assert math.frexp(PENALTY)[0] == 0.5
 
 
 def test_relative_error_examples():
