@@ -7,7 +7,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")  # a value the user set wins
 
 from .lifting import (LiftingBasis, adjoint, double_hankel_basis, hankel_basis,
-                      lift, validate_basis)
+                      lift)
 from .scores import (ScoreVector, SubspacePair, a_norm_2, a_norm_inf,
                      leverage_scores, lifting_coefficient, probability_floor,
                      subspace_of, weighted_leverage_scores)

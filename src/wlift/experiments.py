@@ -12,15 +12,15 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field, asdict
-from numbers import Integral, Real
+from numbers import Real
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .lifting import LiftingBasis, double_hankel_basis, hankel_basis, lift
-from .signal import (Mixture, _check_count, _check_noise_bound, add_noise,
-                     project, sample_uniform_m, synthesize)
+from .signal import (Mixture, _check_count, _check_noise_bound, _check_seed,
+                     add_noise, project, sample_uniform_m, synthesize)
 from .solver import SolverConfig, complete, relative_error
 from .weights import identity_weights, two_stage_pipeline
 
@@ -64,9 +64,7 @@ class PhaseGrid:
                             *(("sparsity level", k)
                               for k in self.sparsity_levels)):
             _check_count(name, count)
-        if not isinstance(self.base_seed, Integral) \
-                or isinstance(self.base_seed, bool):
-            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        _check_seed(self.base_seed)
         if self.pencil > self.n:
             raise ValueError(f"pencil must lie in [1, N], got {self.pencil}")
         if any(m > self.n for m in self.sample_counts):
@@ -246,6 +244,7 @@ def noise_sweep(n: int = 59, structure: str = "hankel", pencil: int = 30,
     trials (identity weights, so the weighted and plain lifts coincide).
     """
     _check_count("trials", trials)
+    _check_seed(base_seed)
     if len(etas) == 0:
         raise ValueError("need at least one noise level")
     for eta in etas:  # all before the first solve

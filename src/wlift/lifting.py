@@ -1,29 +1,32 @@
 """Sparse lifting bases and the lift operator.
 
-A lifting basis is a family of N sparse d1 x d2 matrices {A_n}, each with
-omega_n nonzeros all equal to 1/sqrt(omega_n), mutually orthogonal, with at
-most one nonzero per column. The lift maps a length-N vector to
-sum_n a_n * x_n * A_n with a_n = sqrt(omega_n), so every cell of element n
-holds x_n; the back projection inverts it coordinate-wise. A basis may
-mark some cells as conjugating, in which case those cells carry conj(x_n)
-and the lift is real-linear instead of complex-linear; a Hankel basis
-marks none.
+A lifting basis is a family of N sparse d1 x d2 matrices {A_n} that meets
+four conditions: unit Frobenius norm and equal positive entries (A_n has
+omega_n nonzeros, all 1/sqrt(omega_n)), orthogonality (no grid position
+holds two cells) and column sparsity (no element has two cells in one
+column). A `LiftingBasis` is valid by construction: its constructor
+raises ValueError unless all four hold. It is four flat per-cell arrays
+(row, column, element, conjugation mask), grouped by element; the Hankel
+builders compute them from grid index arithmetic.
 
-A basis is four flat per-cell arrays (row, column, element, conjugation
-mask), grouped by element; the Hankel builders compute them from grid
-index arithmetic. `LiftOperator` is the one lift operator: a gather table
-over the (re, im) floats of x, so the lift is one gather and its adjoint
-one `bincount` in table order. It carries optional per-cell weights,
-which is how the solver applies diagonal weight pairs. A centro-Hermitian
-weighted lift (the double-Hankel one with mirror-symmetric weights) also
-has a real form, the same class with a two-term table: one fixed unitary
-change of basis on each side makes the lifted matrix real.
+The lift maps a length-N vector to sum_n a_n * x_n * A_n with
+a_n = sqrt(omega_n), so every cell of element n holds x_n; the back
+projection inverts it coordinate-wise. A basis may mark some cells as
+conjugating, in which case those cells carry conj(x_n) and the lift is
+real-linear instead of complex-linear; a Hankel basis marks none.
+`LiftOperator` is the one lift operator: a gather table over the (re, im)
+floats of x, so the lift is one gather and its adjoint one `bincount` in
+table order. It carries optional per-cell weights, which is how the
+solver applies diagonal weight pairs. A centro-Hermitian weighted lift
+(the double-Hankel one with mirror-symmetric weights) also has a real
+form, the same class with a two-term table: one fixed unitary change of
+basis on each side makes the lifted matrix real.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Optional, Tuple
 
@@ -32,26 +35,28 @@ import numpy as np
 __all__ = [
     "LiftingBasis",
     "LiftOperator",
-    "BasisReport",
     "hankel_basis",
     "double_hankel_basis",
-    "make_basis",
     "lift",
     "adjoint",
-    "validate_basis",
 ]
 
 
 @dataclass(frozen=True)
 class LiftingBasis:
-    """Coordinate-form lifting basis.
+    """Coordinate-form lifting basis, valid by construction.
 
     rows/cols/element/conjugated are parallel flat arrays: entry j says
     element `element[j]` (0-based) has a nonzero at (rows[j], cols[j]) of
-    value 1/sqrt(omega) for that element, and conjugated[j] whether that
-    cell carries conj(x_n). Entries are grouped by element; their order
-    within an element matters only to `element_sum`, which adds them in
-    that order for the lift's `normal_diag` and the A-norms.
+    the d1 x d2 grid, of value 1/sqrt(omega) for that element, and
+    conjugated[j] whether that cell carries conj(x_n); None marks none.
+    A stable sort groups the cells by element; their order within an
+    element matters only to `element_sum`, which adds them in that order
+    for the lift's `normal_diag` and the A-norms. omega_n
+    (`support_counts`) is element n's cell count, at least 1, so unit
+    Frobenius norm and equal positive entries hold by definition; the
+    constructor, also behind `dataclasses.replace`, raises ValueError
+    unless orthogonality and column sparsity hold too.
     """
 
     n: int
@@ -59,8 +64,45 @@ class LiftingBasis:
     rows: np.ndarray
     cols: np.ndarray
     element: np.ndarray
-    support_counts: np.ndarray  # omega_n
-    conjugated: np.ndarray  # flat mask of conjugating cells
+    conjugated: Optional[np.ndarray] = None  # flat mask of conjugating cells
+    support_counts: np.ndarray = field(init=False)  # omega_n
+
+    def __post_init__(self):
+        dims, n = self.dims, self.n
+        if len(dims) != 2 or not all(isinstance(v, Integral) and v >= 1
+                                     and not isinstance(v, bool) for v in dims):
+            raise ValueError(f"dims must be two positive integers, got {dims!r}")
+        d1, d2 = dims = (int(dims[0]), int(dims[1]))
+        rows, cols, element = (np.asarray(a, dtype=np.int64)
+                               for a in (self.rows, self.cols, self.element))
+        if np.any((element < 0) | (element >= n)):
+            raise ValueError(f"element indices must lie in [0, {n})")
+        counts = np.bincount(element, minlength=n)
+        if np.any(counts < 1):
+            raise ValueError("every basis element needs a nonempty pattern")
+        if rows.shape != element.shape or cols.shape != element.shape:
+            raise ValueError("rows, cols and element must align")
+        if np.any((rows < 0) | (rows >= d1) | (cols < 0) | (cols >= d2)):
+            raise ValueError(f"cells must lie in the {d1} x {d2} grid")
+        mask = np.zeros(element.shape, dtype=bool) if self.conjugated is None \
+            else np.asarray(self.conjugated, dtype=bool)
+        if mask.shape != element.shape:
+            raise ValueError("conjugation mask must align with the cells")
+        order = np.argsort(element, kind="stable")
+        rows, cols, element = rows[order], cols[order], element[order]
+        # equal-sign entries are orthogonal iff no grid position is shared
+        for key, fault in (
+                (rows * d2 + cols, "two cells share grid position ({r}, {c}); "
+                 "the lift needs disjoint patterns"),
+                (element * d2 + cols, "element {e} has two cells in column {c}; "
+                 "a lifting basis needs column sparsity")):
+            if np.bincount(key, minlength=1).max() > 1:
+                j = np.flatnonzero(_repeated(key))[0]
+                raise ValueError(fault.format(r=rows[j], c=cols[j], e=element[j]))
+        for name, value in (("dims", dims), ("rows", rows), ("cols", cols),
+                            ("element", element), ("conjugated", mask[order]),
+                            ("support_counts", counts)):
+            object.__setattr__(self, name, value)
 
     def element_sum(self, vals: np.ndarray) -> np.ndarray:
         """Sum real per-cell values (aligned with rows/cols) over each element."""
@@ -79,21 +121,14 @@ class LiftOperator:
     adjoint, the adjoint for the real inner products, one signed
     `bincount` that adds the table's terms in table order: grid order,
     term 0 then term 1, positions outside every pattern adding 0 * m.
-    Patterns must be disjoint (a shared grid position is a ValueError:
-    forward would keep one of its cells and drop the other), so
-    adjoint(forward(.)) is diagonal with entries normal_diag, the
-    per-element sums of squared cell weights (omega_n for unit cells).
+    A basis's patterns are disjoint, so adjoint(forward(.)) is diagonal
+    with entries normal_diag, the per-element sums of squared cell weights
+    (omega_n for unit cells).
     """
 
     def __init__(self, basis: LiftingBasis, cell: Optional[np.ndarray] = None):
         d1, d2 = basis.dims
         flat = basis.rows * d2 + basis.cols
-        shared = np.flatnonzero(_repeated(flat))
-        if shared.size:
-            j = shared[0]
-            raise ValueError(f"two cells share grid position ({basis.rows[j]}, "
-                             f"{basis.cols[j]}); the lift needs disjoint "
-                             "patterns")
         cell = np.ones(basis.rows.size) if cell is None else cell
         self.dims, self.n, self.dtype = basis.dims, basis.n, complex
         self.normal_diag = basis.element_sum(cell ** 2)
@@ -152,57 +187,6 @@ class LiftOperator:
         return real
 
 
-@dataclass(frozen=True)
-class BasisReport:
-    """Pass/fail per lifting-basis condition, with the first offender."""
-
-    unit_frobenius: bool
-    equal_positive_entries: bool
-    orthogonal: bool
-    column_sparsity: bool
-    first_failure: Optional[Tuple[str, int]] = None
-
-    @property
-    def all_pass(self) -> bool:
-        return self.first_failure is None
-
-
-def make_basis(n: int, dims: Tuple[int, int], rows: np.ndarray,
-               cols: np.ndarray, element: np.ndarray,
-               conjugated: Optional[np.ndarray] = None) -> LiftingBasis:
-    """Assemble a basis from flat per-cell arrays.
-
-    Cell j of element `element[j]` (0-based) sits at (rows[j], cols[j]),
-    which must lie in the d1 x d2 grid.
-    A stable sort groups the cells by element, so each element keeps its
-    cells in the order given. `conjugated` is a flat boolean mask over the
-    same cells marking those that carry the conjugate of their coordinate
-    instead of the coordinate itself; None marks none.
-    """
-    if len(dims) != 2 or not all(isinstance(v, Integral) and v >= 1
-                                 and not isinstance(v, bool) for v in dims):
-        raise ValueError(f"dims must be two positive integers, got {dims!r}")
-    dims = (int(dims[0]), int(dims[1]))
-    element = np.asarray(element, dtype=np.int64)
-    if np.any((element < 0) | (element >= n)):
-        raise ValueError(f"element indices must lie in [0, {n})")
-    counts = np.bincount(element, minlength=n)
-    if np.any(counts < 1):
-        raise ValueError("every basis element needs a nonempty pattern")
-    rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
-    if rows.shape != element.shape or cols.shape != element.shape:
-        raise ValueError("rows, cols and element must align")
-    if np.any((rows < 0) | (rows >= dims[0]) | (cols < 0) | (cols >= dims[1])):
-        raise ValueError(f"cells must lie in the {dims[0]} x {dims[1]} grid")
-    mask = np.zeros(element.shape, dtype=bool) if conjugated is None \
-        else np.asarray(conjugated, dtype=bool)
-    if mask.shape != element.shape:
-        raise ValueError("conjugation mask must align with the cells")
-    order = np.argsort(element, kind="stable")
-    return LiftingBasis(n, dims, rows[order], cols[order], element[order],
-                        counts, mask[order])
-
-
 def _hankel_grid(n: int, pencil: int) -> Tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of the d x (N - d + 1) grid's cells, row-major."""
     if not all(isinstance(v, Integral) and not isinstance(v, bool)
@@ -220,7 +204,7 @@ def hankel_basis(n: int, pencil: int) -> LiftingBasis:
     reproduces the plain Hankel matrix M[i, j] = x[i + j - 1].
     """
     rows, cols = _hankel_grid(n, pencil)
-    return make_basis(n, (pencil, n - pencil + 1), rows, cols, rows + cols)
+    return LiftingBasis(n, (pencil, n - pencil + 1), rows, cols, rows + cols)
 
 
 def double_hankel_basis(n: int, pencil: int) -> LiftingBasis:
@@ -239,10 +223,10 @@ def double_hankel_basis(n: int, pencil: int) -> LiftingBasis:
     rows, cols = _hankel_grid(n, pencil)
     d2h = n - pencil + 1
     # mirror antidiagonal a holds conj(x) at 0-based position N - 1 - a
-    return make_basis(n, (pencil, 2 * d2h), np.tile(rows, 2),
-                      np.concatenate([cols, cols + d2h]),
-                      np.concatenate([rows + cols, n - 1 - (rows + cols)]),
-                      np.arange(2 * rows.size) >= rows.size)
+    return LiftingBasis(n, (pencil, 2 * d2h), np.tile(rows, 2),
+                        np.concatenate([cols, cols + d2h]),
+                        np.concatenate([rows + cols, n - 1 - (rows + cols)]),
+                        np.arange(2 * rows.size) >= rows.size)
 
 
 def lift(basis: LiftingBasis, x: np.ndarray) -> np.ndarray:
@@ -267,26 +251,3 @@ def _repeated(keys: np.ndarray) -> np.ndarray:
     mask = np.ones(keys.size, dtype=bool)
     mask[np.unique(keys, return_index=True)[1]] = False
     return mask
-
-
-def validate_basis(basis: LiftingBasis) -> BasisReport:
-    """Check the four lifting-basis conditions on the stored patterns.
-
-    Failures never raise; the report records the first failing condition,
-    in the order below, with its first offending element index (0-based).
-    """
-    d2 = basis.dims[1]
-    offenders = {
-        # entries are 1/sqrt(omega_n): unit norm iff omega_n counts the cells
-        "unit_frobenius": np.flatnonzero(np.bincount(
-            basis.element, minlength=basis.n) != basis.support_counts),
-        "equal_positive_entries": np.flatnonzero(basis.support_counts < 1),
-        # equal-sign entries are orthogonal iff no cell is shared
-        "orthogonal": basis.element[_repeated(basis.rows * d2 + basis.cols)],
-        "column_sparsity": basis.element[
-            _repeated(basis.element * d2 + basis.cols)],
-    }
-    first = next(((name, int(found[0])) for name, found in offenders.items()
-                  if found.size), None)
-    return BasisReport(*(found.size == 0 for found in offenders.values()),
-                       first)

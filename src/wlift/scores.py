@@ -93,10 +93,10 @@ def _side_map(basis: LiftingBasis, side: str):
 
     ||G A_n||_F^2 ("left", h = G^H G) or ||A_n G||_F^2 ("right", h = G G^H)
     is (1/omega_n) sum Re h[a, b] over the pairs of this side's indices
-    (rows for "left") of element n's cells that share the other index. By
-    column sparsity a left pair is one cell's row twice; double-Hankel's
-    right pairs also cross its two blocks. m[p, n] is the count of pair p
-    in element n over omega_n.
+    (rows for "left") of element n's cells that share the other index. A
+    `LiftingBasis` has column sparsity by construction, so a left pair is
+    one cell's row twice; double-Hankel's right pairs also cross its two
+    blocks. m[p, n] is the count of pair p in element n over omega_n.
     """
     left = side == "left"
     this, other = (basis.rows, basis.cols) if left else (basis.cols, basis.rows)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -141,8 +141,9 @@ def mixture_to_text(mixture: Mixture) -> str:
 
 
 def _check_noise_bound(eta) -> None:
-    """Reject a noise bound that is a bool, negative, NaN or infinite."""
-    if isinstance(eta, (bool, np.bool_)) or not 0 <= eta < np.inf:
+    """Reject a noise bound that is not a finite nonnegative real (bools included)."""
+    if not isinstance(eta, Real) or isinstance(eta, bool) \
+            or not 0 <= eta < np.inf:
         raise ValueError(f"noise bound must be finite and nonnegative, got {eta}")
 
 
@@ -150,3 +151,9 @@ def _check_count(name: str, count) -> None:
     """Reject a count that is not a positive integer (bools included)."""
     if not isinstance(count, Integral) or isinstance(count, bool) or count < 1:
         raise ValueError(f"{name} must be a positive integer, got {count!r}")
+
+
+def _check_seed(seed) -> None:
+    """Reject a base seed that is not an integer (bools included)."""
+    if not isinstance(seed, Integral) or isinstance(seed, bool):
+        raise ValueError(f"base_seed must be an integer, got {seed!r}")

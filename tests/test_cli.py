@@ -138,6 +138,15 @@ def test_validate_basis_all_pass(capsys):
     assert all(ln.startswith("PASS ") for ln in lines)
 
 
+def test_validate_basis_unbuildable_is_usage_error(capsys):
+    # building the basis is the check, so a basis that cannot be built
+    # (pencil 9 > N = 5) prints no PASS line and exits as a usage error
+    assert main(["validate-basis", "--structure", "hankel", "--n", "5",
+                 "--d", "9"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: pencil must lie")
+
+
 def test_phase_requires_out(capsys):
     assert main(["phase", "--structure", "hankel", "--n", "21", "--d", "10",
                  "--trials", "1"]) == 1

@@ -384,6 +384,21 @@ def test_noise_sweep_checks_every_level_before_solving(monkeypatch):
             noise_sweep(21, "hankel", 10, 1, 14, [1e-3, bad], trials=3)
 
 
+def test_noise_sweep_rejects_non_integer_base_seed(monkeypatch):
+    # True would hash as the text "True", a different instance from seed 1,
+    # and "1" would silently reproduce seed 1; PhaseGrid refuses both
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking base_seed")
+
+    monkeypatch.setattr(experiments, "complete", no_solve)
+    for seed in (True, 1.5, "1"):
+        with pytest.raises(ValueError, match="base_seed"):
+            noise_sweep(21, "hankel", 10, 1, 12, [1e-3], trials=1,
+                        base_seed=seed)
+        with pytest.raises(ValueError, match="base_seed"):
+            PhaseGrid((12,), (1,), trials=1, n=21, pencil=10, base_seed=seed)
+
+
 def test_noise_sweep_rejects_non_integer_trials():
     for trials in (1.5, 2.0, True):
         with pytest.raises(ValueError, match="trials"):

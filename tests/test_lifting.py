@@ -5,12 +5,10 @@ import weakref
 import numpy as np
 import pytest
 
-from wlift.lifting import (LiftOperator, adjoint, double_hankel_basis,
-                           hankel_basis, lift, make_basis, validate_basis)
+from wlift.lifting import (LiftingBasis, LiftOperator, adjoint,
+                           double_hankel_basis, hankel_basis, lift)
 from wlift.scores import (leverage_scores, subspace_of,
                           weighted_leverage_scores)
-from wlift.signal import SampleSet
-from wlift.solver import complete
 from wlift.weights import identity_weights
 
 from oracles import dense_element
@@ -161,9 +159,14 @@ def test_adjoint_inverts_lift(make, n, d):
     (double_hankel_basis, 8, 5),
 ])
 def test_constructed_bases_validate(make, n, d):
-    report = validate_basis(make(n, d))
-    assert report.all_pass
-    assert report.first_failure is None
+    # building checked the conditions; recount them from the stored cells
+    basis = make(n, d)
+    d2 = basis.dims[1]
+    np.testing.assert_array_equal(basis.support_counts,
+                                  np.bincount(basis.element, minlength=n))
+    assert np.all(basis.support_counts >= 1)
+    assert np.unique(basis.rows * d2 + basis.cols).size == basis.rows.size
+    assert np.unique(basis.element * d2 + basis.cols).size == basis.rows.size
 
 
 def test_basis_entry_normalization():
@@ -216,29 +219,29 @@ def test_builders_pin_cell_order(n):
             assert list(cells) == ref
 
 
-def test_make_basis_rejects_bad_cells():
+def test_basis_rejects_bad_cells():
     # element 1 empty, an element index past N, a negative one
     for element in ([0, 0], [0, 2], [-1, 1]):
         with pytest.raises(ValueError):
-            make_basis(2, (2, 2), [0, 1], [0, 1], element)
+            LiftingBasis(2, (2, 2), [0, 1], [0, 1], element)
     # a row or a mask entry missing
     with pytest.raises(ValueError):
-        make_basis(2, (2, 2), [0], [0, 1], [0, 1])
+        LiftingBasis(2, (2, 2), [0], [0, 1], [0, 1])
     with pytest.raises(ValueError):
-        make_basis(2, (2, 2), [0, 1], [0, 1], [0, 1], conjugated=[True])
+        LiftingBasis(2, (2, 2), [0, 1], [0, 1], [0, 1], conjugated=[True])
     # a column or a row outside the 2 x 2 grid, which a flat index wraps
     for rows, cols in (([0, 0], [0, 3]), ([0, -1], [0, 1])):
         with pytest.raises(ValueError, match="2 x 2 grid"):
-            make_basis(2, (2, 2), rows, cols, [0, 1])
+            LiftingBasis(2, (2, 2), rows, cols, [0, 1])
     # a float, a bool, a zero or a missing grid dimension
     for dims in ((2, 2.0), (True, 2), (2, 0), (2,)):
         with pytest.raises(ValueError, match="dims"):
-            make_basis(2, dims, [0, 1], [0, 1], [0, 1])
+            LiftingBasis(2, dims, [0, 1], [0, 1], [0, 1])
 
 
-def test_make_basis_stores_dims_as_int_tuple():
+def test_basis_stores_dims_as_int_tuple():
     # a list or numpy ints would fail the weights' and subspace's dims checks
-    basis = make_basis(2, [2, np.int64(2)], [0, 1], [0, 1], [0, 1])
+    basis = LiftingBasis(2, [2, np.int64(2)], [0, 1], [0, 1], [0, 1])
     assert basis.dims == (2, 2)
     assert all(type(v) is int for v in basis.dims)
     sub = subspace_of(basis, np.array([1.0, 2.0]))
@@ -246,7 +249,19 @@ def test_make_basis_stores_dims_as_int_tuple():
     np.testing.assert_allclose(mu.values, leverage_scores(basis, sub).values)
 
 
+def test_basis_derives_support_counts():
+    # omega_n counts element n's cells, so it cannot be passed in or set
+    basis = LiftingBasis(3, (2, 2), [1, 0, 0, 1], [1, 1, 0, 0], [2, 1, 0, 1])
+    np.testing.assert_array_equal(basis.support_counts, [1, 2, 1])
+    with pytest.raises(TypeError):
+        LiftingBasis(3, (2, 2), [0, 1, 0], [0, 1, 1], [0, 1, 2],
+                     support_counts=np.ones(3))
+    with pytest.raises(ValueError):
+        dataclasses.replace(basis, support_counts=np.ones(3))
+
+
 def _duplicate_cell():
+    # dataclasses.replace runs the constructor's checks again
     basis = hankel_basis(3, 2)
     rows = basis.rows.copy()
     cols = basis.cols.copy()
@@ -256,41 +271,25 @@ def _duplicate_cell():
 
 def _shared_column():
     # element 1 puts both of its cells in column 0; no cell is shared
-    return make_basis(2, (2, 2), rows=[0, 0, 1], cols=[1, 0, 0],
-                      element=[0, 1, 1])
+    return LiftingBasis(2, (2, 2), rows=[0, 0, 1], cols=[1, 0, 0],
+                        element=[0, 1, 1])
 
 
-def _miscounted_support():
-    basis = hankel_basis(3, 2)
-    counts = basis.support_counts.copy()
-    counts[1] += 1  # omega_1 no longer counts element 1's cells
-    return dataclasses.replace(basis, support_counts=counts)
-
-
-@pytest.mark.parametrize("broken,flag", [
-    (_duplicate_cell, "orthogonal"),
-    (_shared_column, "column_sparsity"),
-    (_miscounted_support, "unit_frobenius"),
-], ids=["orthogonal", "column_sparsity", "unit_frobenius"])
-def test_validate_flags_injected_duplicate(broken, flag):
-    report = validate_basis(broken())
-    assert not getattr(report, flag)
-    assert not report.all_pass
-    assert report.first_failure[0] == flag
+@pytest.mark.parametrize("broken,fault", [
+    (_duplicate_cell, r"two cells share grid position \(0, 0\)"),
+    (_shared_column, "element 1 has two cells in column 0"),
+], ids=["orthogonal", "column_sparsity"])
+def test_validate_flags_injected_duplicate(broken, fault):
+    with pytest.raises(ValueError, match=fault):
+        broken()
 
 
 def test_lift_path_rejects_a_shared_cell():
     # elements 0 and 1 both sit at (0, 0): a lift would keep one of them,
-    # and complete() would drop the other from its program
-    basis = make_basis(3, (2, 2), [0, 0, 1], [0, 0, 1], [0, 1, 2])
-    assert validate_basis(basis).first_failure == ("orthogonal", 1)
-    with pytest.raises(ValueError, match="share grid position"):
-        lift(basis, np.ones(3))
-    with pytest.raises(ValueError, match="share grid position"):
-        adjoint(basis, np.ones((2, 2)))
-    with pytest.raises(ValueError, match="share grid position"):
-        complete(basis, identity_weights(basis.dims), SampleSet(3, [1, 3]),
-                 np.ones(2))
+    # and complete() would drop the other from its program; such a basis
+    # cannot be built, so lift, adjoint and complete never receive one
+    with pytest.raises(ValueError, match=r"share grid position \(0, 0\)"):
+        LiftingBasis(3, (2, 2), [0, 0, 1], [0, 0, 1], [0, 1, 2])
 
 
 def test_adjoint_dim_mismatch():
@@ -356,9 +355,9 @@ def _reference_adjoint(basis, cell, m):
 
 def _partial_cover():
     # 5 of 9 cells covered, two of them conjugating
-    return make_basis(3, (3, 3), rows=[0, 1, 2, 0, 2], cols=[0, 1, 0, 1, 2],
-                      element=[0, 1, 1, 2, 2],
-                      conjugated=[False, False, True, True, False])
+    return LiftingBasis(3, (3, 3), rows=[0, 1, 2, 0, 2], cols=[0, 1, 0, 1, 2],
+                        element=[0, 1, 1, 2, 2],
+                        conjugated=[False, False, True, True, False])
 
 
 @pytest.mark.parametrize("make", [
@@ -371,7 +370,6 @@ def test_lift_operator_matches_scatter_reference(make):
     # 2-D scatter and per-part bincounts in grid order, so the results are
     # equal, not close
     basis = make()
-    assert validate_basis(basis).all_pass
     rng = np.random.default_rng(14)
     for cell in (rng.uniform(0.1, 2.0, size=basis.rows.size),
                  np.ones(basis.rows.size)):

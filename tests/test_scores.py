@@ -224,11 +224,11 @@ def test_lifting_coefficient_matches_element_loop(make, n, d):
 
 def test_lifting_coefficient_constant_support():
     # all omega_n = N gives R = 1 (wrap-around-style support profile)
-    from wlift.lifting import make_basis
+    from wlift.lifting import LiftingBasis
     n = 4
     element = np.repeat(np.arange(n), 4)
     rows = np.tile(np.arange(4), n)
-    basis = make_basis(n, (4, 4), rows, (rows + element) % 4, element)
+    basis = LiftingBasis(n, (4, 4), rows, (rows + element) % 4, element)
     assert abs(lifting_coefficient(basis) - 1.0) < 1e-12
 
 

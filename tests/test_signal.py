@@ -78,15 +78,18 @@ def test_add_noise_rejects_negative_or_nan_bound():
 
 def test_noise_bounds_reject_bools():
     # True compares equal to 1.0, so a flag passed as a bound would add
-    # radius-1 noise; every entry point refuses it, as counts do
+    # radius-1 noise; every entry point refuses it, as counts do. A bound
+    # that is no real number gets the same ValueError, not a TypeError from
+    # its comparison; None means no noise to complete() alone
     y = np.zeros(21, dtype=complex)
     sset = sample_uniform_m(21, 15, seed=0)
-    for bound in (True, np.True_, False, np.False_):
+    for bound in (True, np.True_, False, np.False_, "x", 1 + 0j, None):
         with pytest.raises(ValueError, match="noise bound"):
             add_noise(y, bound, seed=0)
-        with pytest.raises(ValueError, match="noise bound"):
-            complete(hankel_basis(21, 10), identity_weights((10, 12)), sset,
-                     project(y, sset), noise_bound=bound)
+        if bound is not None:
+            with pytest.raises(ValueError, match="noise bound"):
+                complete(hankel_basis(21, 10), identity_weights((10, 12)),
+                         sset, project(y, sset), noise_bound=bound)
         with pytest.raises(ValueError, match="noise bound"):
             noise_sweep(21, "hankel", 10, 1, 15, [bound], trials=1)
 
