@@ -7,7 +7,9 @@ holds two cells) and column sparsity (no element has two cells in one
 column). A `LiftingBasis` is valid by construction: its constructor
 raises ValueError unless all four hold. It is four flat per-cell arrays
 (row, column, element, conjugation mask), grouped by element; the Hankel
-builders compute them from grid index arithmetic.
+builders compute them from grid index arithmetic. `side_groups` groups
+them so that every side norm ||Q^H A_n||_F^2 or ||A_n Q||_F^2 is one
+grouped row sum of Q.
 
 The lift maps a length-N vector to sum_n a_n * x_n * A_n with
 a_n = sqrt(omega_n), so every cell of element n holds x_n; the back
@@ -32,6 +34,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .signal import _check_count
+
 __all__ = [
     "LiftingBasis",
     "LiftOperator",
@@ -42,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftingBasis:
     """Coordinate-form lifting basis, valid by construction.
 
@@ -69,6 +73,7 @@ class LiftingBasis:
 
     def __post_init__(self):
         dims, n = self.dims, self.n
+        _check_count("n", n)
         if len(dims) != 2 or not all(isinstance(v, Integral) and v >= 1
                                      and not isinstance(v, bool) for v in dims):
             raise ValueError(f"dims must be two positive integers, got {dims!r}")
@@ -97,16 +102,46 @@ class LiftingBasis:
                 (element * d2 + cols, "element {e} has two cells in column {c}; "
                  "a lifting basis needs column sparsity")):
             if np.bincount(key, minlength=1).max() > 1:
-                j = np.flatnonzero(_repeated(key))[0]
+                # both cells with the key share every field the fault names
+                j = np.flatnonzero(np.bincount(key)[key] > 1)[0]
                 raise ValueError(fault.format(r=rows[j], c=cols[j], e=element[j]))
-        for name, value in (("dims", dims), ("rows", rows), ("cols", cols),
-                            ("element", element), ("conjugated", mask[order]),
+        for name, value in (("n", int(n)), ("dims", dims), ("rows", rows),
+                            ("cols", cols), ("element", element),
+                            ("conjugated", mask[order]),
                             ("support_counts", counts)):
             object.__setattr__(self, name, value)
 
     def element_sum(self, vals: np.ndarray) -> np.ndarray:
         """Sum real per-cell values (aligned with rows/cols) over each element."""
         return np.bincount(self.element, weights=vals, minlength=self.n)
+
+    def side_groups(self, left: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """(G, E), which make one side's norms a grouped row sum.
+
+        A group is the cells of one element that share the other index (a
+        column on the left, a row on the right), as a 0/1 row of G over
+        this side's indices. Equal groups are one row, and E[j, n] adds
+        1/omega_n for each of element n's groups equal to row j. Then
+        ||Q^H A_n||_F^2 (left) or ||A_n Q||_F^2 (right) is
+        (|G Q|^2 summed over Q's columns) @ E. Column sparsity makes a left
+        group one cell; a double-Hankel right group holds one per block.
+        """
+        this, other = (self.rows, self.cols) if left else (self.cols, self.rows)
+        d, d_other = self.dims if left else self.dims[::-1]
+        keys, group = np.unique(self.element * d_other + other,
+                                return_inverse=True)
+        member = np.zeros((keys.size, d), dtype=bool)
+        member[group, this] = True
+        # equal groups have equal packed bytes, so one 1-D unique finds them
+        packed = np.packbits(member, axis=1)
+        _, first, slot = np.unique(
+            packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+            return_index=True, return_inverse=True)
+        owner = keys // d_other
+        e = np.bincount(slot * self.n + owner,
+                        weights=1.0 / self.support_counts[owner],
+                        minlength=first.size * self.n)
+        return member[first].astype(float), e.reshape(first.size, self.n)
 
 
 class LiftOperator:
@@ -244,10 +279,3 @@ def adjoint(basis: LiftingBasis, m: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {basis.dims} matrix, got {m.shape}")
     # <A_n, M> / a_n is the sum over element n's cells divided by omega_n
     return LiftOperator(basis).adjoint(m) / basis.support_counts
-
-
-def _repeated(keys: np.ndarray) -> np.ndarray:
-    """Mask of the entries whose key already occurs at an earlier position."""
-    mask = np.ones(keys.size, dtype=bool)
-    mask[np.unique(keys, return_index=True)[1]] = False
-    return mask

@@ -43,9 +43,8 @@ class SubspacePair:
     """Truncated SVD subspaces of a lifted (possibly weighted) signal.
 
     Both factors have orthonormal columns, to ORTHONORMAL_TOL in every
-    entry of Q^H Q - I. So U U^H is the left projector that the scores
-    read, and the tuner's Gram matrices Q^H W^2 Q have condition number
-    at most (max w / min w)^2.
+    entry of Q^H Q - I. So the scores read U and V as they are, and each
+    `qr` of W Q that the tuner makes has cond(R) at most max w / min w.
     """
 
     left: np.ndarray          # d1 x K, orthonormal columns, K >= 1
@@ -88,98 +87,57 @@ def subspace_of(basis: LiftingBasis, x: np.ndarray) -> SubspacePair:
     return SubspacePair(u[:, :k], vh[:k, :].conj().T)
 
 
-def _side_map(basis: LiftingBasis, side: str):
-    """(a, b, m): a side matrix h's side norms are h[a, b].real @ m.
-
-    ||G A_n||_F^2 ("left", h = G^H G) or ||A_n G||_F^2 ("right", h = G G^H)
-    is (1/omega_n) sum Re h[a, b] over the pairs of this side's indices
-    (rows for "left") of element n's cells that share the other index. A
-    `LiftingBasis` has column sparsity by construction, so a left pair is
-    one cell's row twice; double-Hankel's right pairs also cross its two
-    blocks. m[p, n] is the count of pair p in element n over omega_n.
-    """
-    left = side == "left"
-    this, other = (basis.rows, basis.cols) if left else (basis.cols, basis.rows)
-    d, d_other = basis.dims if left else basis.dims[::-1]
-    group = basis.element * d_other + other
-    order = np.argsort(group)
-    group = group[order]
-    # cells t apart in group order pair up when they share a group
-    i, j, t = [order], [order], 1
-    while (s := np.flatnonzero(group[t:] == group[:-t])).size:
-        i += [order[s], order[s + t]]
-        j += [order[s + t], order[s]]
-        t += 1
-    i, j = np.concatenate(i), np.concatenate(j)
-    a, b = this[i], this[j]
-    # by (min, max, a > b): a pair and its mirror, equal in Re h, add in turn
-    key = (np.minimum(a, b) * d + np.maximum(a, b)) * 2 + (a > b)
-    listed = np.bincount(key, minlength=2 * d * d) > 0
-    keys, slot = np.flatnonzero(listed), np.cumsum(listed) - 1
-    counts = np.bincount(slot[key] * basis.n + basis.element[i],
-                         minlength=keys.size * basis.n)
-    lo, hi = np.divmod(keys // 2, d)
-    a = np.where(keys % 2, hi, lo)
-    return a, lo + hi - a, (counts.reshape(keys.size, basis.n)
-                            / basis.support_counts)
-
-
 def _check_subspace(basis: LiftingBasis, subspace: SubspacePair) -> None:
     if (subspace.left.shape[0], subspace.right.shape[0]) != basis.dims:
         raise ValueError("subspace dimensions do not match the basis")
 
 
-def leverage_scores(basis: LiftingBasis, subspace: SubspacePair) -> ScoreVector:
-    """Unweighted scores (N/K) * max(||U^H A_n||_F^2, ||A_n V||_F^2).
+def _side_norms(q: np.ndarray, groups) -> np.ndarray:
+    """||Q^H A_n||_F^2 or ||A_n Q||_F^2 for every n, by `side_groups`."""
+    g_rows, e = groups
+    # G is real, so G Q is one real product over Q's (re, im) floats
+    s = g_rows @ np.ascontiguousarray(q).view(float)
+    return (s * s).sum(axis=1) @ e
 
-    These equal the side norms of the projectors U U^H and V V^H.
-    """
+
+def leverage_scores(basis: LiftingBasis, subspace: SubspacePair) -> ScoreVector:
+    """Unweighted scores (N/K) * max(||U^H A_n||_F^2, ||A_n V||_F^2)."""
     _check_subspace(basis, subspace)
-    u, v = subspace.left, subspace.right
-    left, right = (h[a, b].real @ m for h, (a, b, m) in (
-        (u @ u.conj().T, _side_map(basis, "left")),
-        (v @ v.conj().T, _side_map(basis, "right"))))
-    vals = basis.n / subspace.rank * np.maximum(left, right)
+    vals = basis.n / subspace.rank * np.maximum(
+        _side_norms(subspace.left, basis.side_groups(True)),
+        _side_norms(subspace.right, basis.side_groups(False)))
     return ScoreVector(vals, subspace.rank)
 
 
-def _side_projector(w: np.ndarray, q: np.ndarray, side_map):
-    """(P, per-element norms) of one side's oblique projection at weights w.
+def _weighted_factor(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """An orthonormal factor F of diag(w) Q's range, from one `qr`.
 
-    P = W^H Q (Q^H W W^H Q)^-1 Q^H W for the real weight diagonal w, with
-    Q = U for side "left" and Q = V for side "right". W^H Q is a row
-    scaling of Q, and P is an orthogonal projector. The norms are
-    ||P A_n||_F^2 ("left") or ||A_n P||_F^2 ("right"), read through the
-    side's `_side_map` from P itself, since P^H P = P P^H = P. Raises
-    ValueError when the K x K Gram matrix is numerically singular, which
-    caller weights with zero or tiny entries can make it.
+    Raises ValueError when W Q = F R is numerically rank deficient, as
+    caller weights with zero or tiny entries can make it: when cond(R)^2,
+    the condition number of the Gram matrix Q^H W^2 Q, exceeds
+    GRAM_CONDITION_LIMIT.
     """
-    wq = w[:, None] * q
-    gram = wq.conj().T @ wq
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
-        raise ValueError(
-            f"weight Gram matrix is ill-conditioned (cond={cond:.3e})")
-    proj = wq @ np.linalg.solve(gram, wq.conj().T)
-    a, b, m = side_map
-    return proj, proj[a, b].real @ m
+    factor, r = np.linalg.qr(w[:, None] * q)
+    cond = np.linalg.cond(r)
+    if not cond <= math.sqrt(GRAM_CONDITION_LIMIT):
+        raise ValueError("weight Gram matrix is ill-conditioned "
+                         f"(cond(R) = {cond:.3e})")
+    return factor
 
 
 def weighted_leverage_scores(basis: LiftingBasis, weights: WeightPair,
                              subspace: SubspacePair) -> ScoreVector:
     """Scores through the oblique projections induced by (W_L, W_R).
 
-    P_U(Y) = W_L^H U (U^H W_L W_L^H U)^-1 U^H W_L Y and its right-hand
-    mirror; the K x K Gram inverses are formed once and shared across n.
+    P_U(Y) = W_L^H U (U^H W_L W_L^H U)^-1 U^H W_L Y is the orthogonal
+    projector onto the range of W_L U, so these are the unweighted scores
+    of that range's orthonormal factor and of its right-hand mirror's.
     """
     _check_subspace(basis, subspace)
     weights.check_fits(basis)
-    _, left = _side_projector(weights.left_diag, subspace.left,
-                              _side_map(basis, "left"))
-    _, right = _side_projector(weights.right_diag, subspace.right,
-                               _side_map(basis, "right"))
-    vals = basis.n / subspace.rank * np.maximum(left, right)
-    return ScoreVector(vals, subspace.rank)
+    return leverage_scores(basis, SubspacePair(
+        _weighted_factor(weights.left_diag, subspace.left),
+        _weighted_factor(weights.right_diag, subspace.right)))
 
 
 def lifting_coefficient(basis: LiftingBasis) -> float:

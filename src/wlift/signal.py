@@ -37,9 +37,10 @@ class Mixture:
     components: Tuple[Tuple[complex, complex], ...]
 
     def __init__(self, n_samples: int, components: Sequence[Tuple[complex, complex]]):
-        if isinstance(n_samples, bool) or n_samples < 1 or n_samples % 1:
+        if not isinstance(n_samples, Real) or isinstance(n_samples, bool) \
+                or n_samples < 1 or n_samples % 1:
             raise ValueError(f"need a whole number of samples, at least one, "
-                             f"got N={n_samples}")
+                             f"got N={n_samples!r}")
         comps = tuple((complex(b), complex(z)) for b, z in components)
         if len(comps) < 1:
             raise ValueError("mixture needs at least one component")
@@ -60,10 +61,10 @@ class SampleSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.universe, bool) or self.universe < 0 \
-                or self.universe % 1:
+        u = self.universe
+        if not isinstance(u, Real) or isinstance(u, bool) or u < 0 or u % 1:
             raise ValueError(f"universe must be a whole number, at least "
-                             f"zero, got {self.universe}")
+                             f"zero, got {self.universe!r}")
         idx = np.asarray(self.indices)
         if idx.ndim != 1 or np.any(idx % 1):
             raise ValueError("indices must be a 1-D array of whole numbers")

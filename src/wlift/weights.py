@@ -14,7 +14,8 @@ from typing import Tuple
 import numpy as np
 
 from .lifting import LiftingBasis
-from .scores import _check_subspace, _side_map, _side_projector, subspace_of
+from .scores import (_check_subspace, _side_norms, _weighted_factor,
+                     subspace_of)
 from .signal import SampleSet
 from .solver import SolverConfig, complete
 
@@ -93,25 +94,30 @@ class TuneResult:
     fell_back = False  # not a field; bench/spans.py reads it
 
 
-def _stepped_norms(proj: np.ndarray, idx: np.ndarray, fac: np.ndarray,
-                   side_map) -> np.ndarray:
-    """Side norms through side_map after w[idx[j]] *= fac[j], one row per j.
+def _stepped_norms(q: np.ndarray, idx: np.ndarray, fac: np.ndarray,
+                   groups) -> np.ndarray:
+    """Side norms after w[idx[j]] *= fac[j], one row per j.
 
-    With H = Q (Q^H W^2 Q)^-1 Q^H, so that P = W H W, a step is a
-    rank-one Sherman-Morrison update of H. In terms of P it reads
-    P'[a, b] = s_a s_b (P[a, b] - g P[a, i] P[i, b] / (1 + g P[i, i])),
-    with g = fac^2 - 1 and s = fac at i, 1 elsewhere. The denominator is
-    at least 1/4, as 0 <= P[i, i] <= 1.
+    q is `_weighted_factor`'s C-ordered orthonormal factor of the kept
+    weights' W Q, (G, E) are `side_groups`. A step scales row i of W Q by
+    f; with g = f^2 - 1, a Sherman-Morrison update of
+    (q^H (I + g e_i e_i^T) q)^-1 gives group row s = G q the stepped
+    squared norm ||s||^2 - g |d|^2 / (1 + g a) + [i in group]
+    (f - 1)(2 Re d + (f - 1) a) / (1 + g a), with d = s . conj(q_i) and
+    a = ||q_i||^2. As 0 <= a <= 1, 1 + g a >= 1/4.
     """
-    a, b, m = side_map
-    fac = fac[:, None]
+    g_rows, e = groups
+    s = g_rows @ q.view(float)  # G q, as in `_side_norms`
+    qi = q[idx]
+    d = s.view(complex) @ qi.conj().T
+    a = (qi.real ** 2 + qi.imag ** 2).sum(axis=1)
     g = fac * fac - 1.0
-    rows = proj[idx]
-    shrink = g / (1.0 + g * proj[idx, idx].real[:, None])
-    p = proj[a, b].real - shrink * (rows[:, a].conj() * rows[:, b]).real
-    p *= (np.where(a == idx[:, None], fac, 1.0)
-          * np.where(b == idx[:, None], fac, 1.0))
-    return p @ m
+    denom = 1.0 + g * a
+    norms = ((s * s).sum(axis=1)[:, None]
+             - g / denom * (d.real ** 2 + d.imag ** 2)
+             + g_rows[:, idx] * ((fac - 1.0) * (2.0 * d.real + (fac - 1.0) * a)
+                                 / denom))
+    return norms.T @ e
 
 
 def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
@@ -125,59 +131,60 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
     stays in [2^-TUNE_SWEEPS, 2^TUNE_SWEEPS]. The pilot subspace stays
     fixed throughout; only the oblique projections move with the weights,
     and a step on one side moves only that side's projection. Its factors
-    are orthonormal, so each Gram matrix Q^H W^2 Q has condition number at
-    most (max w / min w)^2 <= 2^(4 TUNE_SWEEPS), far inside the
-    conditioning check of `_side_projector`.
+    are orthonormal, so each `qr` of W Q has cond(R) at most
+    max w / min w <= 2^(2 TUNE_SWEEPS), far inside the conditioning check
+    of `_weighted_factor`.
 
-    Each side keeps its projector P for the kept weights, and one
-    vectorised pass scores all of the side's remaining steps from it in
-    closed form (a rank-one update, see `_stepped_norms`). The first step
-    that pass puts more than GAIN_REL_TOL below the objective is kept: P
-    and the side's norms are re-solved once, their exact objective
-    becomes the one to beat, and the next pass starts from the next step.
-    So a tune makes one Gram solve per side plus one per kept step. Returns
-    identity weights when nothing improves (including the fully observed
-    case, where the objective is an empty sum). Raises ValueError for a
-    pilot whose dimensions do not match the basis.
+    Each side keeps an orthonormal factor of W Q for the kept weights,
+    and one vectorised pass over the groups that the unobserved elements
+    use scores all of the side's remaining steps from it in closed form
+    (see `_stepped_norms`). The first step that puts the objective more
+    than GAIN_REL_TOL lower is kept: the factor and the side's norms are
+    recomputed, their exact objective becomes the one to beat, and the
+    next pass starts from the next step. So a tune makes one `qr` per
+    side plus one per kept step. Returns identity weights when nothing
+    improves (including the fully observed case, where the objective is
+    an empty sum). Raises ValueError for a pilot whose dimensions do not
+    match the basis.
     """
     _check_subspace(basis, pilot_subspace)
-    d1, d2 = basis.dims
-    u, v = pilot_subspace.left, pilot_subspace.right
     unobserved = sample_set.complement()
     if unobserved.size == 0:
-        return TuneResult(identity_weights((d1, d2)).frobenius_normalized(),
+        return TuneResult(identity_weights(basis.dims).frobenius_normalized(),
                           0.0, 0.0, 0)
 
-    wl, wr = np.ones(d1), np.ones(d2)
-    sides = ((wl, u, _side_map(basis, "left")),
-             (wr, v, _side_map(basis, "right")))
+    wl, wr = (np.ones(d) for d in basis.dims)
+    sides, passes = [], []
+    for w, q, left in ((wl, pilot_subspace.left, True),
+                       (wr, pilot_subspace.right, False)):
+        g_rows, e = groups = basis.side_groups(left)
+        sides.append((w, q, groups))
+        # a pass reads the unobserved elements' columns and their groups
+        e = e[:, unobserved - 1]
+        used = e.any(axis=1)
+        passes.append((g_rows[used], e[used]))
     scale = basis.n / pilot_subspace.rank
 
     def objective(left, right) -> float:
         # the unobserved sum of weighted_leverage_scores; max is symmetric
         return float((scale * np.maximum(left, right))[unobserved - 1].sum())
 
-    kept = [_side_projector(w, q, side_map) for w, q, side_map in sides]
-    # a pass reads the unobserved elements' columns and the pairs they use
-    pass_maps = []
-    for _, _, (a, b, m) in sides:
-        m = m[:, unobserved - 1]
-        used = m.any(axis=1)
-        pass_maps.append((a[used], b[used], m[used]))
+    kept = [_weighted_factor(w, q) for w, q, _ in sides]
+    norms = [_side_norms(f, groups) for f, (_, _, groups) in zip(kept, sides)]
     factors = np.array(STEP_FACTORS)
-    baseline = best = objective(kept[0][1], kept[1][1])
+    baseline = best = objective(*norms)
 
     for sweeps in range(1, TUNE_SWEEPS + 1):
         before = best
-        for side, (w, q, side_map) in enumerate(sides):
-            other = kept[1 - side][1]
+        for side, (w, q, groups) in enumerate(sides):
+            other = norms[1 - side]
             # step k multiplies w[k // 2] by STEP_FACTORS[k % 2]; score
             # every remaining step, again from the one after a kept step
             step = 0
             while True:
                 steps = np.arange(step, 2 * w.size)
-                moved = _stepped_norms(kept[side][0], steps // 2,
-                                       factors[steps % 2], pass_maps[side])
+                moved = _stepped_norms(kept[side], steps // 2,
+                                       factors[steps % 2], passes[side])
                 scored = (scale * np.maximum(moved, other[unobserved - 1])
                           ).sum(axis=1)
                 gains = steps[scored < best * (1.0 - GAIN_REL_TOL)]
@@ -185,8 +192,9 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
                     break
                 k = gains[0]
                 w[k // 2] *= STEP_FACTORS[k % 2]
-                kept[side] = _side_projector(w, q, side_map)
-                best = objective(kept[side][1], other)
+                kept[side] = _weighted_factor(w, q)
+                norms[side] = _side_norms(kept[side], groups)
+                best = objective(norms[side], other)
                 step = k + 1
         if before - best < TUNE_REL_TOL * max(abs(before), 1.0):
             break

@@ -9,3 +9,10 @@ def dense_element(basis, k):
     a = np.zeros(basis.dims)
     a[basis.rows[at], basis.cols[at]] = 1.0 / np.sqrt(basis.support_counts[k])
     return a
+
+
+def dense_side_norms(basis, q, left):
+    """||Q^H A_n||_F^2 (left) or ||A_n Q||_F^2 (right) for every n, densely."""
+    a = np.stack([dense_element(basis, k) for k in range(basis.n)])
+    prod = q.conj().T @ a if left else a @ q
+    return np.linalg.norm(prod, axis=(1, 2)) ** 2

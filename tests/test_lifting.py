@@ -9,6 +9,7 @@ from wlift.lifting import (LiftingBasis, LiftOperator, adjoint,
                            double_hankel_basis, hankel_basis, lift)
 from wlift.scores import (leverage_scores, subspace_of,
                           weighted_leverage_scores)
+from wlift.signal import Mixture, SampleSet
 from wlift.weights import identity_weights
 
 from oracles import dense_element
@@ -237,6 +238,36 @@ def test_basis_rejects_bad_cells():
     for dims in ((2, 2.0), (True, 2), (2, 0), (2,)):
         with pytest.raises(ValueError, match="dims"):
             LiftingBasis(2, dims, [0, 1], [0, 1], [0, 1])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LiftingBasis(2.0, (2, 2), [0, 1], [0, 1], [0, 1]),
+    lambda: LiftingBasis("2", (2, 2), [0, 1], [0, 1], [0, 1]),
+    lambda: LiftingBasis(True, (1, 1), [0], [0], [0]),
+    lambda: LiftingBasis(0, (1, 1), [], [], []),
+    lambda: Mixture("5", [(1, 1j)]),
+    lambda: Mixture(None, [(1, 1j)]),
+    lambda: SampleSet("5", [1]),
+    lambda: SampleSet(None, []),
+], ids=["basis-float", "basis-str", "basis-bool", "basis-zero",
+        "mixture-str", "mixture-none", "sampleset-str", "sampleset-none"])
+def test_constructors_reject_bad_counts(build):
+    # a count that is no number gets the ValueError every other bad
+    # argument gets, not numpy's TypeError from comparing or indexing it
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_basis_stores_n_as_int():
+    assert type(LiftingBasis(np.int64(2), (2, 2), [0, 1], [0, 1],
+                             [0, 1]).n) is int
+
+
+def test_basis_comparison_is_identity():
+    # a basis compares by identity, as its array fields have no truth value
+    basis = hankel_basis(3, 2)
+    assert (basis == hankel_basis(3, 2)) is False
+    assert (basis == basis) is True
 
 
 def test_basis_stores_dims_as_int_tuple():

@@ -6,25 +6,20 @@ import pytest
 from wlift.experiments import random_mixture
 from wlift.lifting import double_hankel_basis, hankel_basis
 from wlift.scores import (ORTHONORMAL_TOL, ScoreVector, SubspacePair,
-                          _side_map, a_norm_2, a_norm_inf, leverage_scores,
+                          _side_norms, a_norm_2, a_norm_inf, leverage_scores,
                           lifting_coefficient, probability_floor,
                           scores_to_text, subspace_of, weighted_leverage_scores)
 from wlift.signal import synthesize
 from wlift.weights import WeightPair, identity_weights
 
-from oracles import dense_element
+from oracles import dense_element, dense_side_norms
 
 
 def dense_leverage_scores(basis, sub):
     """Oracle: materialize each basis element and use dense matrix products."""
-    u, v = sub.left, sub.right
-    out = np.empty(basis.n)
-    for k in range(basis.n):
-        a = dense_element(basis, k)
-        out[k] = basis.n / sub.rank * max(
-            np.linalg.norm(u.conj().T @ a) ** 2,
-            np.linalg.norm(a @ v) ** 2)
-    return out
+    return basis.n / sub.rank * np.maximum(
+        dense_side_norms(basis, sub.left, True),
+        dense_side_norms(basis, sub.right, False))
 
 
 def test_subspace_all_ones():
@@ -100,22 +95,39 @@ def test_leverage_scores_match_dense_oracle():
 
 
 def test_side_norms_match_dense_definition():
-    # ||G A_n||_F^2 from G^H G and ||A_n G||_F^2 from G G^H; double-Hankel
-    # rows repeat within an element (one cell per block), so cross terms
-    # between same-row cells must be counted on the right
+    # ||Q^H A_n||_F^2 and ||A_n Q||_F^2 from the grouped row sum of
+    # `side_groups`, for any Q; double-Hankel rows repeat within an element
+    # (one cell per block), so a right group must sum its rows of Q first
     rng = np.random.default_rng(8)
     for basis in (hankel_basis(9, 4), double_hankel_basis(9, 4)):
-        d1, d2 = basis.dims
-        gl = rng.standard_normal((5, d1)) + 1j * rng.standard_normal((5, d1))
-        gr = rng.standard_normal((d2, 5)) + 1j * rng.standard_normal((d2, 5))
-        left = [np.linalg.norm(gl @ dense_element(basis, k)) ** 2
-                for k in range(basis.n)]
-        right = [np.linalg.norm(dense_element(basis, k) @ gr) ** 2
-                 for k in range(basis.n)]
-        for h, side, want in ((gl.conj().T @ gl, "left", left),
-                              (gr @ gr.conj().T, "right", right)):
-            a, b, m = _side_map(basis, side)
-            np.testing.assert_allclose(h[a, b].real @ m, want, rtol=1e-12)
+        for left, d in ((True, basis.dims[0]), (False, basis.dims[1])):
+            q = rng.standard_normal((d, 5)) + 1j * rng.standard_normal((d, 5))
+            np.testing.assert_allclose(
+                _side_norms(q, basis.side_groups(left)),
+                dense_side_norms(basis, q, left), rtol=1e-12)
+
+
+def test_side_groups_are_distinct_rows():
+    # equal groups share one row of G, E[j, n] is 1/omega_n times the
+    # number of element n's groups equal to row j (double-Hankel holds a
+    # left group {r} once per block), and each element's left entries add
+    # to one (one group per cell)
+    for basis in (hankel_basis(21, 10), double_hankel_basis(21, 10)):
+        for left in (True, False):
+            g_rows, e = basis.side_groups(left)
+            assert np.unique(g_rows, axis=0).shape[0] == g_rows.shape[0]
+            held = e * basis.support_counts
+            np.testing.assert_allclose(held, np.round(held), rtol=1e-15)
+            assert np.all(held.sum(axis=0) >= 1)  # no element goes unread
+        np.testing.assert_allclose(basis.side_groups(True)[1].sum(axis=0),
+                                   1, rtol=1e-14)
+    # a Hankel lift's groups are single rows (left) and single columns
+    basis = hankel_basis(21, 10)
+    for left, d in ((True, 10), (False, 12)):
+        g_rows = basis.side_groups(left)[0]
+        assert g_rows.shape == (d, d) and np.all(g_rows.sum(axis=1) == 1)
+        np.testing.assert_array_equal(np.sort(g_rows.argmax(axis=1)),
+                                      np.arange(d))
 
 
 def test_full_subspace_scores_bounded():

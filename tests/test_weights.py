@@ -3,16 +3,18 @@ import warnings
 import numpy as np
 import pytest
 
-from wlift.experiments import _draw, random_mixture
+from wlift.experiments import _draw, cell_seed, random_mixture
 from wlift.lifting import double_hankel_basis, hankel_basis
-from wlift.scores import SubspacePair, subspace_of, weighted_leverage_scores
+from wlift.scores import (SubspacePair, _side_norms, _weighted_factor,
+                          subspace_of, weighted_leverage_scores)
 from wlift.signal import SampleSet, project, sample_uniform_m, synthesize
-from wlift.solver import SolverConfig, relative_error
+from wlift.solver import SolverConfig, complete, relative_error
 from wlift.weights import (GAIN_REL_TOL, STEP_FACTORS, TUNE_REL_TOL,
-                           TUNE_SWEEPS, WeightPair, _side_map, _side_projector,
-                           _stepped_norms,
+                           TUNE_SWEEPS, WeightPair, _stepped_norms,
                            identity_weights, tune_diagonal_weights,
                            two_stage_pipeline)
+
+from oracles import dense_side_norms
 
 
 def unobserved_score_sum(basis, weights, sub, sset):
@@ -226,10 +228,11 @@ def test_tune_square_hankel_keeps_identity(n, d, observed):
     basis = hankel_basis(n, d)
     sub = subspace_of(basis, synthesize(random_mixture(
         n, 3, np.random.default_rng(7))))
-    ones = np.ones(d)
-    left, right = (_side_projector(ones, q, _side_map(basis, side))[1]
-                   for q, side in ((sub.left, "left"), (sub.right, "right")))
+    left, right = (_side_norms(q, basis.side_groups(side))
+                   for q, side in ((sub.left, True), (sub.right, False)))
     np.testing.assert_allclose(left, right, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(left, dense_side_norms(basis, sub.left, True),
+                               rtol=0, atol=1e-13)
     half = n // 2
     sset = {"uniform": sample_uniform_m(n, half - 4, seed=0),
             "first_half": SampleSet(n, np.arange(1, half + 1)),
@@ -374,27 +377,27 @@ def test_tune_rejects_mismatched_pilot():
                                              (double_hankel_basis, 21, 10),
                                              (double_hankel_basis, 59, 40)])
 def test_stepped_norms_match_side_norms(structure, n, d):
-    # the closed-form step (rank-one update of H, P = W H W read through
-    # the basis' entry pairs) against a fresh oblique projection at every
-    # stepped weight; double-Hankel pins its cross-block row pairs
+    # the closed-form step (a rank-one update of the kept orthonormal
+    # factor, read through the groups) against the dense side norms of a
+    # fresh `qr` at every stepped weight; double-Hankel pins its right
+    # groups of one cell per block
     basis = structure(n, d)
     rng = np.random.default_rng(d)
     sub = subspace_of(basis, synthesize(random_mixture(n, 3, rng)))
     unobserved = sample_uniform_m(n, n // 2, seed=d).complement()
-    for q, name in ((sub.left, "left"), (sub.right, "right")):
+    for q, left in ((sub.left, True), (sub.right, False)):
         w = 2.0 ** rng.integers(-3, 4, size=q.shape[0])
         idx = np.arange(w.size)
-        a, b, m = side_map = _side_map(basis, name)
-        proj, _ = _side_projector(w, q, side_map)
-        unobserved_map = a, b, m[:, unobserved - 1]
+        g_rows, e = basis.side_groups(left)
+        factor = _weighted_factor(w, q)
         for fac in STEP_FACTORS:
-            got = _stepped_norms(proj, idx, np.full(idx.size, fac),
-                                 unobserved_map)
+            got = _stepped_norms(factor, idx, np.full(idx.size, fac),
+                                 (g_rows, e[:, unobserved - 1]))
             for i in idx:
                 stepped = w.copy()
                 stepped[i] *= fac
-                want = _side_projector(stepped, q, side_map)[1][
-                    unobserved - 1]
+                fresh = np.linalg.qr(stepped[:, None] * q)[0]
+                want = dense_side_norms(basis, fresh, left)[unobserved - 1]
                 np.testing.assert_allclose(got[i], want, rtol=1e-12)
 
 
@@ -420,23 +423,45 @@ def test_tune_matches_step_by_step_reference():
     assert max(sweeps) > 1
 
 
+def test_band_double_hankel_tune_is_pinned():
+    # the stage-1 pilot of double-Hankel band trial M=40, K=8, t=2 at base
+    # seed 0 keeps steps on both sides. Before normalisation every tuned
+    # weight is a power of two, so the exponents pin each tuning decision
+    basis = double_hankel_basis(59, 40)
+    y, sset = _draw(59, 8, 40, cell_seed(0, 40, 8, 2))
+    stage1 = complete(basis, identity_weights(basis.dims), sset,
+                      project(y, sset))
+    assert stage1.converged
+    res = tune_diagonal_weights(basis, sset, subspace_of(basis,
+                                                         stage1.estimate))
+    assert res.sweeps == TUNE_SWEEPS
+    for diag, want in (
+            (res.weights.left_diag,
+             [0, 2, 5, 2, 5, 5, 4, 2, 6, 4, 5, 5, 7, 4, 5, 7, 4, 8, 5, 6,
+              5, 3, 3, 6, 7, 4, 5, 4, 4, 7, 5, 3, 4, 5, 8, 5, 7, 7, 4, 3]),
+            (res.weights.right_diag,
+             [0, 1, 6, 5, 4, 5, 5, 5, 4, 4, 3, 6, 4, 3, 6, 4, 1, 1, 1, 0,
+              0, 5, 5, 3, 1, 3, 2, 1, 6, 3, 1, 2, 1, 1, 3, 4, 4, 5, 2, 2])):
+        np.testing.assert_array_equal(np.log2(diag / diag[0]), want)
+
+
 def test_tune_refreshes_gram_only_for_kept_steps(monkeypatch):
     # a tune that keeps identity scores every step of a side in one
-    # closed-form pass from one Gram solve; a loop that re-solved per
-    # step would make about 4 * d. A tune that keeps steps solves once
-    # per side and once per kept step, the steps the reference keeps
+    # closed-form pass from one `qr`; a loop that factorised per step
+    # would make about 4 * d. A tune that keeps steps factorises once per
+    # side and once per kept step, the steps the reference keeps
     import wlift.weights
     calls, passes = [], []
 
-    def counting(w, q, side_map):
+    def counting(w, q):
         calls.append("left" if q is sub.left else "right")
-        return _side_projector(w, q, side_map)
+        return _weighted_factor(w, q)
 
-    def counting_passes(proj, idx, fac, side_map):
+    def counting_passes(q, idx, fac, groups):
         passes.append(idx.size)
-        return _stepped_norms(proj, idx, fac, side_map)
+        return _stepped_norms(q, idx, fac, groups)
 
-    monkeypatch.setattr(wlift.weights, "_side_projector", counting)
+    monkeypatch.setattr(wlift.weights, "_weighted_factor", counting)
     monkeypatch.setattr(wlift.weights, "_stepped_norms", counting_passes)
     basis = hankel_basis(59, 30)
     sub = subspace_of(basis, synthesize(random_mixture(
