@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, asdict
 from numbers import Real
@@ -170,15 +171,27 @@ def _draw(n: int, k: int, m: int, seed: int, min_separation: float = 0.0):
 SUCCESS_THRESHOLD = 1e-3  # largest relative error of a successful trial
 
 
+def _nuclear_gain(basis: LiftingBasis) -> float:
+    """kappa with ||L(e)||_* <= kappa ||e||: disjoint patterns give
+    ||L(e)||_F^2 = sum_n omega_n |e_n|^2, and ||.||_* <= sqrt(rank) ||.||_F."""
+    return math.sqrt(min(basis.dims) * int(basis.support_counts.max()))
+
+
 def run_trial(n: int, structure: str, pencil: int, weighting: str,
               m: int, k: int, seed: int,
               solver_config: SolverConfig = SolverConfig(),
               min_separation: float = 0.0) -> TrialOutcome:
     """One seeded draw-sample-solve-threshold trial.
 
-    It succeeds when its relative error is at most SUCCESS_THRESHOLD.
-    Solver errors are folded into a failed outcome with an error code so a
-    sweep never crashes on one bad trial.
+    It fails when its estimate is farther than SUCCESS_THRESHOLD (theta,
+    relative) from the truth y, or when it is proven that no minimizer of
+    the program lies within theta of y. With
+    kappa = sqrt(min(d1, d2) max_n omega_n), ||L(e)||_* <= kappa ||e||, so
+    every x within theta of y has ||L(x)||_* >= ||L(y)||_* - kappa theta ||y||.
+    Noiseless iterates are feasible, so an identity solve stops at the
+    first one below that floor (`complete`'s stop_below) and reports its
+    error. Solver errors are folded into a failed outcome with an error
+    code so a sweep never crashes on one bad trial.
     """
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -190,12 +203,14 @@ def run_trial(n: int, structure: str, pencil: int, weighting: str,
             _, result = two_stage_pipeline(basis, sset, obs,
                                            solver_config=solver_config)
         else:
+            floor = np.linalg.svd(lift(basis, y), compute_uv=False).sum() \
+                - _nuclear_gain(basis) * SUCCESS_THRESHOLD * np.linalg.norm(y)
             result = complete(basis, identity_weights(basis.dims), sset, obs,
-                              config=solver_config)
+                              config=solver_config, stop_below=floor)
     except (ValueError, np.linalg.LinAlgError) as exc:
         return TrialOutcome(False, float("inf"), type(exc).__name__)
     err = relative_error(y, result.estimate)
-    return TrialOutcome(err <= SUCCESS_THRESHOLD, err)
+    return TrialOutcome(err <= SUCCESS_THRESHOLD and not result.proven, err)
 
 
 def _trial_success(args) -> bool:

@@ -12,6 +12,9 @@ it is the real form, with the same singular values in real arithmetic.
 ADMM runs in scaled form (Boyd et al. 2011, sec. 3.1.1), U = Lambda / rho:
 rho starts at PENALTY = 1 and only doubles or halves, so scaling by this
 power of two is exact and the iterates are those of the unscaled form.
+A noiseless or noisy iterate g is always feasible, so `complete`'s
+optional `stop_below` level ends a solve as soon as one g has
+||W_L L(g) W_R^H||_* below it: the program's minimum is then below it too.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ class CompletionResult:
     dual_residual: float
     objective: float
     converged: bool
+    proven: bool = False  # stopped by stop_below: the minimum lies below it
 
 
 def svt(m: np.ndarray, tau: float) -> np.ndarray:
@@ -84,6 +88,15 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     suffix of `eigh`'s ascending order.
     A real m stays real, so its Gram matrix takes the real `eigh`.
     """
+    return _svt(m, tau)[0]
+
+
+def _svt(m: np.ndarray, tau: float):
+    """`svt` and the singular values of m it keeps, those above tau.
+
+    The result's singular values are the kept ones minus tau, so its
+    nuclear norm is (kept - tau).sum() with no further decomposition.
+    """
     if not tau >= 0:
         raise ValueError("threshold must be nonnegative")
     m = np.asarray(m)
@@ -94,7 +107,7 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     j = s.searchsorted(tau, side="right")
     uk = u[:, j:]
     out = (uk * (1.0 - tau / s[j:])) @ (uk.conj().T @ b)
-    return out.conj().T if tall else out
+    return (out.conj().T if tall else out), s[j:]
 
 
 def relative_error(truth: np.ndarray, estimate: np.ndarray) -> float:
@@ -132,7 +145,8 @@ def _ball_project(g: np.ndarray, obs0: np.ndarray, center: np.ndarray,
 
 def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
              observed: np.ndarray, noise_bound: Optional[float] = None,
-             config: SolverConfig = SolverConfig()) -> CompletionResult:
+             config: SolverConfig = SolverConfig(),
+             stop_below: Optional[float] = None) -> CompletionResult:
     """Solve the (weighted) completion program for the full sample vector.
 
     noise_bound=None enforces P_Omega(g) = y_Omega exactly; a finite
@@ -141,6 +155,12 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     ADMM starts at rho = PENALTY and stops when both residuals are within
     ABS_TOL * sqrt(d1 d2) + config.rel_tol * (an iterate's norm); hitting
     config.max_iters first returns converged=False rather than raising.
+
+    stop_below, a weighted nuclear-norm level, returns proven=True (and
+    converged=False) at the first iterate g with ||W_L L(g) W_R^H||_*
+    below it, which proves that the program's minimum is below it. A free
+    bound, ||Z||_* + sqrt(min(d1, d2)) * primal >= ||L(g)||_*, gates one
+    dense SVD that confirms it. Without stop_below nothing is checked.
     """
     if noise_bound is not None:
         _check_noise_bound(noise_bound)
@@ -172,6 +192,9 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     obs0 = sample_set.indices - 1
     radius = None if noise_bound is None \
         else float(noise_bound) * np.sqrt(sample_set.size)
+    # the nuclear norms of the internal lift are 1/peak of the caller's
+    level = None if stop_below is None else float(stop_below) / float(peak)
+    rank_bound = math.sqrt(min(d1, d2))
 
     rho = PENALTY
     inv_diag = 1.0 / op.normal_diag
@@ -184,11 +207,15 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     primal = dual = np.inf
     # zbound >= norm(z); slack covers _norm's rounding (about 1e-13)
     zbound, slack = 0.0, 1.0 + 1e-6
-    converged = False
+    converged = proven = False
     it = 0
 
     for it in range(1, config.max_iters + 1):
-        z_new = svt(bg + u, 1.0 / rho)
+        tau = 1.0 / rho
+        if level is None:
+            z_new = svt(bg + u, tau)
+        else:  # a level needs the kept singular values too
+            z_new, kept = _svt(bg + u, tau)
 
         g = op.adjoint(z_new - u) * inv_diag
         if radius is None:
@@ -204,6 +231,12 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
 
         primal = _norm(r)
         dual = rho * step
+        # ||L(g)||_* <= ||Z||_* + ||L(g) - Z||_*, a rank-min(d1, d2) matrix
+        if level is not None \
+                and (kept - tau).sum() + rank_bound * primal < level \
+                and np.linalg.svd(bg, compute_uv=False).sum() < level:
+            proven = True
+            break
         zbound = (zbound + step) * slack
         # triangle inequality: norm(z_new) <= norm(z) + step, and
         # norm(bg) <= norm(z) + primal, so a primal above the tolerance at
@@ -226,4 +259,4 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
             u *= 2.0
 
     objective = float(peak) * float(np.linalg.svd(bg, compute_uv=False).sum())
-    return CompletionResult(g, it, primal, dual, objective, converged)
+    return CompletionResult(g, it, primal, dual, objective, converged, proven)

@@ -11,10 +11,14 @@ import pytest
 
 import wlift
 from wlift import experiments
-from wlift.experiments import (PhaseGrid, SuccessSurface, build_basis,
-                               cell_seed, emit_dat, loglog_slope, noise_sweep,
+from wlift.experiments import (SUCCESS_THRESHOLD, PhaseGrid, SuccessSurface,
+                               _draw, _nuclear_gain, build_basis, cell_seed,
+                               emit_dat, loglog_slope, noise_sweep,
                                phase_transition, random_mixture, run_trial)
-from wlift.solver import SolverConfig
+from wlift.lifting import LiftingBasis, double_hankel_basis, hankel_basis, lift
+from wlift.signal import project
+from wlift.solver import SolverConfig, complete, relative_error
+from wlift.weights import identity_weights
 
 
 def spearman(a, b):
@@ -87,6 +91,64 @@ def test_run_trial_folds_solver_errors(monkeypatch):
     out = run_trial(21, "hankel", 10, "identity", 15, 1, 2)
     assert not out.success and out.rel_error == float("inf")
     assert out.error_code == "LinAlgError"
+
+
+def _nuclear(basis, x):
+    return np.linalg.svd(lift(basis, x), compute_uv=False).sum()
+
+
+def test_nuclear_gain_bounds_the_lift():
+    # ||L(e)||_* <= kappa ||e||, the bound behind run_trial's proof floor
+    rng = np.random.default_rng(3)
+    small = LiftingBasis(3, (2, 3), [0, 1, 0, 1], [0, 1, 1, 2], [0, 0, 1, 2])
+    for basis in (hankel_basis(59, 30), double_hankel_basis(59, 40), small):
+        kappa = _nuclear_gain(basis)
+        widest = np.zeros(basis.n, dtype=complex)
+        widest[basis.support_counts.argmax()] = 1.0
+        es = [widest] + [rng.normal(size=basis.n) + 1j * rng.normal(size=basis.n)
+                         for _ in range(20)]
+        for e in es:
+            assert _nuclear(basis, e) <= kappa * np.linalg.norm(e) * (1 + 1e-12)
+
+
+def _identity_floor(basis, y):
+    return _nuclear(basis, y) \
+        - _nuclear_gain(basis) * SUCCESS_THRESHOLD * np.linalg.norm(y)
+
+
+def test_dark_trial_is_proven_early():
+    # a dark phase-grid trial stops once a feasible iterate's lift falls
+    # below the floor that every x within the threshold of y stays above
+    seed = cell_seed(0, 20, 10, 0)
+    y, sset = _draw(59, 10, 20, seed)
+    obs = project(y, sset)
+    basis = hankel_basis(59, 30)
+    floor = _identity_floor(basis, y)
+    result = complete(basis, identity_weights(basis.dims), sset, obs,
+                      stop_below=floor)
+    assert result.proven and not result.converged
+    assert result.iterations <= 200
+    g = result.estimate
+    assert g[sset.indices - 1].tobytes() == obs.tobytes()  # feasible
+    assert _nuclear(basis, g) < floor
+    out = run_trial(59, "hankel", 30, "identity", 20, 10, seed)
+    assert not out.success and out.rel_error == relative_error(y, g)
+
+
+def test_stop_below_leaves_a_success_unchanged():
+    seed = cell_seed(0, 30, 4, 0)
+    y, sset = _draw(59, 4, 30, seed)
+    obs = project(y, sset)
+    basis = hankel_basis(59, 30)
+    weights = identity_weights(basis.dims)
+    plain = complete(basis, weights, sset, obs)
+    gated = complete(basis, weights, sset, obs,
+                     stop_below=_identity_floor(basis, y))
+    assert plain.converged and not gated.proven
+    assert relative_error(y, plain.estimate) <= SUCCESS_THRESHOLD
+    assert gated.estimate.tobytes() == plain.estimate.tobytes()
+    assert gated.iterations == plain.iterations
+    assert run_trial(59, "hankel", 30, "identity", 30, 4, seed).success
 
 
 def test_phase_grid_validation():

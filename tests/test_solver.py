@@ -8,7 +8,8 @@ from wlift.lifting import LiftOperator, double_hankel_basis, hankel_basis, lift
 from wlift.signal import (Mixture, SampleSet, add_noise,
                           sample_uniform_m, synthesize)
 from wlift.solver import (ABS_TOL, PENALTY, CompletionResult, SolverConfig,
-                          _ball_project, _norm, complete, relative_error, svt)
+                          _ball_project, _norm, _svt, complete, relative_error,
+                          svt)
 from wlift.weights import WeightPair, identity_weights
 
 
@@ -73,6 +74,23 @@ def test_svt_matches_svd_reference(shape):
                                    atol=1e-9 * s[0])
         # a real input takes the real eigh and stays real
         assert out.dtype == (np.float64 if shape == "real" else np.complex128)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_private_svt_keeps_svt_bits_and_its_nuclear_norm(dtype):
+    # complete() reads ||Z||_* from the kept singular values for free
+    rng = np.random.default_rng(5)
+    for shape in ((30, 30), (12, 5), (5, 12)):
+        m = rng.normal(size=shape).astype(dtype)
+        if dtype is complex:
+            m += 1j * rng.normal(size=shape)
+        s = np.linalg.svd(m, compute_uv=False)
+        for tau in (0.0, s[s.size // 2], 1.5 * s[0]):
+            out, kept = _svt(m, tau)
+            assert out.tobytes() == svt(m, tau).tobytes()
+            assert np.all(kept > tau)
+            nuclear = np.linalg.svd(out, compute_uv=False).sum()
+            assert abs((kept - tau).sum() - nuclear) <= 1e-12 * nuclear
 
 
 def test_complete_calls_module_svt_once_per_iteration(monkeypatch):
