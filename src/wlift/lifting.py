@@ -70,7 +70,6 @@ class LiftingBasis:
     element: np.ndarray
     conjugated: Optional[np.ndarray] = None  # flat mask of conjugating cells
     support_counts: np.ndarray = field(init=False)  # omega_n
-    _groups: dict = field(init=False, repr=False)  # side_groups, per side
 
     def __post_init__(self):
         dims, n = self.dims, self.n
@@ -109,7 +108,7 @@ class LiftingBasis:
         for name, value in (("n", int(n)), ("dims", dims), ("rows", rows),
                             ("cols", cols), ("element", element),
                             ("conjugated", mask[order]),
-                            ("support_counts", counts), ("_groups", {})):
+                            ("support_counts", counts)):
             object.__setattr__(self, name, value)
 
     def element_sum(self, vals: np.ndarray) -> np.ndarray:
@@ -126,13 +125,7 @@ class LiftingBasis:
         ||Q^H A_n||_F^2 (left) or ||A_n Q||_F^2 (right) is
         (|G Q|^2 summed over Q's columns) @ E. Column sparsity makes a left
         group one cell; a double-Hankel right group holds one per block.
-        Each side is built once per basis, as read-only arrays.
         """
-        if left not in self._groups:
-            self._groups[left] = self._build_side_groups(left)
-        return self._groups[left]
-
-    def _build_side_groups(self, left: bool) -> Tuple[np.ndarray, np.ndarray]:
         this, other = (self.rows, self.cols) if left else (self.cols, self.rows)
         d, d_other = self.dims if left else self.dims[::-1]
         keys, group = np.unique(self.element * d_other + other,
@@ -148,10 +141,7 @@ class LiftingBasis:
         e = np.bincount(slot * self.n + owner,
                         weights=1.0 / self.support_counts[owner],
                         minlength=first.size * self.n)
-        groups = member[first].astype(float), e.reshape(first.size, self.n)
-        for a in groups:
-            a.flags.writeable = False
-        return groups
+        return member[first].astype(float), e.reshape(first.size, self.n)
 
 
 class LiftOperator:

@@ -88,15 +88,6 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     suffix of `eigh`'s ascending order.
     A real m stays real, so its Gram matrix takes the real `eigh`.
     """
-    return _svt(m, tau)[0]
-
-
-def _svt(m: np.ndarray, tau: float):
-    """`svt` and the singular values of m it keeps, those above tau.
-
-    The result's singular values are the kept ones minus tau, so its
-    nuclear norm is (kept - tau).sum() with no further decomposition.
-    """
     if not tau >= 0:
         raise ValueError("threshold must be nonnegative")
     m = np.asarray(m)
@@ -107,7 +98,7 @@ def _svt(m: np.ndarray, tau: float):
     j = s.searchsorted(tau, side="right")
     uk = u[:, j:]
     out = (uk * (1.0 - tau / s[j:])) @ (uk.conj().T @ b)
-    return (out.conj().T if tall else out), s[j:]
+    return out.conj().T if tall else out
 
 
 def relative_error(truth: np.ndarray, estimate: np.ndarray) -> float:
@@ -211,11 +202,8 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     it = 0
 
     for it in range(1, config.max_iters + 1):
-        tau = 1.0 / rho
-        if level is None:
-            z_new = svt(bg + u, tau)
-        else:  # a level needs the kept singular values too
-            z_new, kept = _svt(bg + u, tau)
+        m = bg + u
+        z_new = svt(m, 1.0 / rho)
 
         g = op.adjoint(z_new - u) * inv_diag
         if radius is None:
@@ -231,12 +219,15 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
 
         primal = _norm(r)
         dual = rho * step
-        # ||L(g)||_* <= ||Z||_* + ||L(g) - Z||_*, a rank-min(d1, d2) matrix
-        if level is not None \
-                and (kept - tau).sum() + rank_bound * primal < level \
-                and np.linalg.svd(bg, compute_uv=False).sum() < level:
-            proven = True
-            break
+        if level is not None:
+            # ||L(g)||_* <= ||Z||_* + ||L(g) - Z||_*, a rank-min(d1, d2)
+            # matrix; Z keeps m's singular values s > tau as s - tau, so
+            # tau ||Z||_* = Re<Z, m> - ||Z||_F^2
+            znuc = rho * (np.vdot(z_new, m).real - np.vdot(z_new, z_new).real)
+            if znuc + rank_bound * primal < level \
+                    and np.linalg.svd(bg, compute_uv=False).sum() < level:
+                proven = True
+                break
         zbound = (zbound + step) * slack
         # triangle inequality: norm(z_new) <= norm(z) + step, and
         # norm(bg) <= norm(z) + primal, so a primal above the tolerance at

@@ -130,19 +130,6 @@ def test_side_groups_are_distinct_rows():
                                       np.arange(d))
 
 
-def test_side_groups_are_built_once_and_read_only():
-    for basis in (hankel_basis(21, 10), double_hankel_basis(21, 10)):
-        for left in (True, False):
-            groups = basis.side_groups(left)
-            assert basis.side_groups(left) is groups
-            fresh = basis._build_side_groups(left)
-            for a, b in zip(groups, fresh):
-                assert not a.flags.writeable
-                assert a.tobytes() == b.tobytes()
-                with pytest.raises(ValueError):
-                    a[0, 0] = 2.0
-
-
 def test_full_subspace_scores_bounded():
     basis = hankel_basis(9, 4)
     rng = np.random.default_rng(0)

@@ -8,8 +8,7 @@ from wlift.lifting import LiftOperator, double_hankel_basis, hankel_basis, lift
 from wlift.signal import (Mixture, SampleSet, add_noise,
                           sample_uniform_m, synthesize)
 from wlift.solver import (ABS_TOL, PENALTY, CompletionResult, SolverConfig,
-                          _ball_project, _norm, _svt, complete, relative_error,
-                          svt)
+                          _ball_project, _norm, complete, relative_error, svt)
 from wlift.weights import WeightPair, identity_weights
 
 
@@ -77,20 +76,20 @@ def test_svt_matches_svd_reference(shape):
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_private_svt_keeps_svt_bits_and_its_nuclear_norm(dtype):
-    # complete() reads ||Z||_* from the kept singular values for free
+def test_svt_nuclear_norm_from_its_output(dtype):
+    # complete()'s stop_below gate reads ||Z||_* for Z = svt(m, tau) as
+    # (Re<Z, m> - ||Z||_F^2) / tau, with no further decomposition
     rng = np.random.default_rng(5)
     for shape in ((30, 30), (12, 5), (5, 12)):
         m = rng.normal(size=shape).astype(dtype)
         if dtype is complex:
             m += 1j * rng.normal(size=shape)
         s = np.linalg.svd(m, compute_uv=False)
-        for tau in (0.0, s[s.size // 2], 1.5 * s[0]):
-            out, kept = _svt(m, tau)
-            assert out.tobytes() == svt(m, tau).tobytes()
-            assert np.all(kept > tau)
-            nuclear = np.linalg.svd(out, compute_uv=False).sum()
-            assert abs((kept - tau).sum() - nuclear) <= 1e-12 * nuclear
+        for tau in (s[-1] / 2, s[s.size // 2], 1.5 * s[0]):
+            z = svt(m, tau)
+            nuclear = np.linalg.svd(z, compute_uv=False).sum()
+            gate = (np.vdot(z, m).real - np.vdot(z, z).real) / tau
+            assert abs(gate - nuclear) <= 1e-12 * max(nuclear, s[0])
 
 
 def test_complete_calls_module_svt_once_per_iteration(monkeypatch):
@@ -108,10 +107,17 @@ def test_complete_calls_module_svt_once_per_iteration(monkeypatch):
     basis = hankel_basis(31, 16)
     y = synthesize(random_mixture(31, 2, np.random.default_rng(4)))
     sset = sample_uniform_m(31, 20, seed=1)
-    result = complete(basis, identity_weights(basis.dims), sset,
-                      y[sset.indices - 1])
+    weights = identity_weights(basis.dims)
+    result = complete(basis, weights, sset, y[sset.indices - 1])
     assert result.iterations > 1
     assert len(calls) == result.iterations
+    # a stop_below solve takes the same path, proven or not
+    for level in (0.0, 10 * result.objective):
+        calls.clear()
+        gated = complete(basis, weights, sset, y[sset.indices - 1],
+                         stop_below=level)
+        assert gated.proven == (level > 0) and gated.iterations >= 1
+        assert len(calls) == gated.iterations
 
 
 def _masked_svt(m, tau):
