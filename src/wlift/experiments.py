@@ -41,6 +41,7 @@ STRUCTURES = ("hankel", "double-hankel")
 WEIGHTINGS = ("identity", "two_stage")
 # smallest chance of one random_mixture draw meeting min_separation
 MIN_DRAW_PROBABILITY = 1e-6
+SUCCESS_THRESHOLD = 1e-3  # largest relative error of a successful trial
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,12 @@ class SuccessSurface:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    success: bool
     rel_error: float
     error_code: Optional[str] = None
+
+    @property
+    def success(self) -> bool:
+        return self.rel_error <= SUCCESS_THRESHOLD
 
 
 def build_basis(structure: str, n: int, pencil: int) -> LiftingBasis:
@@ -145,6 +149,7 @@ def random_mixture(n: int, k: int, rng: np.random.Generator,
     Frequencies are i.i.d. uniform on [0, 1); an optional wrap-around
     separation floor rejects draws with close pairs.
     """
+    _check_count("K", k)
     _check_separation(k, min_separation)
     while True:
         freqs = rng.random(k)
@@ -168,9 +173,6 @@ def _draw(n: int, k: int, m: int, seed: int, min_separation: float = 0.0):
     return y, sample_uniform_m(n, m, seed=int(rng.integers(2 ** 62)))
 
 
-SUCCESS_THRESHOLD = 1e-3  # largest relative error of a successful trial
-
-
 def _nuclear_gain(basis: LiftingBasis) -> float:
     """kappa with ||L(e)||_* <= kappa ||e||: disjoint patterns give
     ||L(e)||_F^2 = sum_n omega_n |e_n|^2, and ||.||_* <= sqrt(rank) ||.||_F."""
@@ -183,15 +185,13 @@ def run_trial(n: int, structure: str, pencil: int, weighting: str,
               min_separation: float = 0.0) -> TrialOutcome:
     """One seeded draw-sample-solve-threshold trial.
 
-    It fails when its estimate is farther than SUCCESS_THRESHOLD (theta,
-    relative) from the truth y, or when it is proven that no minimizer of
-    the program lies within theta of y. With
-    kappa = sqrt(min(d1, d2) max_n omega_n), ||L(e)||_* <= kappa ||e||, so
-    every x within theta of y has ||L(x)||_* >= ||L(y)||_* - kappa theta ||y||.
-    Noiseless iterates are feasible, so an identity solve stops at the
-    first one below that floor (`complete`'s stop_below) and reports its
-    error. Solver errors are folded into a failed outcome with an error
-    code so a sweep never crashes on one bad trial.
+    It succeeds when its estimate is within SUCCESS_THRESHOLD (theta,
+    relative) of the truth y. An identity solve stops at the first
+    (feasible) iterate g with ||L(g)||_* below ||L(y)||_* - kappa theta ||y||
+    (`complete`'s stop_below), and that changes no verdict: as
+    ||L(e)||_* <= kappa ||e|| (`_nuclear_gain`), g and every minimizer of
+    the program are farther than theta from y. Solver errors fold into a
+    failed outcome with an error code, so a sweep never crashes on one trial.
     """
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -208,9 +208,8 @@ def run_trial(n: int, structure: str, pencil: int, weighting: str,
             result = complete(basis, identity_weights(basis.dims), sset, obs,
                               config=solver_config, stop_below=floor)
     except (ValueError, np.linalg.LinAlgError) as exc:
-        return TrialOutcome(False, float("inf"), type(exc).__name__)
-    err = relative_error(y, result.estimate)
-    return TrialOutcome(err <= SUCCESS_THRESHOLD and not result.proven, err)
+        return TrialOutcome(float("inf"), type(exc).__name__)
+    return TrialOutcome(relative_error(y, result.estimate))
 
 
 def _trial_success(args) -> bool:
@@ -272,8 +271,7 @@ def noise_sweep(n: int = 59, structure: str = "hankel", pencil: int = 30,
         for i, eta in enumerate(etas):
             noisy = add_noise(y, eta, seed=seed ^ 0x5EED)
             result = complete(basis, identity_weights(basis.dims), sset,
-                              project(noisy, sset),
-                              noise_bound=eta if eta > 0 else None,
+                              project(noisy, sset), noise_bound=eta,
                               config=solver_config)
             # the unit lift only multiplies by +-1: L(a) - L(b) == L(a - b)
             totals[i] += float(np.linalg.norm(lift(basis, result.estimate - y)))

@@ -50,8 +50,7 @@ class SolverConfig:
 
     max_iters is a positive integer, rel_tol positive and finite. rho
     starts at PENALTY, since residual balancing rescales it from the
-    residuals it measures; ABS_TOL floors both tolerances. Success is the
-    experiment's definition (`experiments.SUCCESS_THRESHOLD`).
+    residuals it measures; ABS_TOL floors both tolerances.
     """
 
     max_iters: int = 2000
@@ -140,8 +139,8 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
              stop_below: Optional[float] = None) -> CompletionResult:
     """Solve the (weighted) completion program for the full sample vector.
 
-    noise_bound=None enforces P_Omega(g) = y_Omega exactly; a finite
-    nonnegative noise_bound eta relaxes it to
+    noise_bound=None or 0 enforces P_Omega(g) = y_Omega exactly; a finite
+    positive noise_bound eta relaxes it to
     ||P_Omega(g) - y_Omega||_2 <= sqrt(M) eta.
     ADMM starts at rho = PENALTY and stops when both residuals are within
     ABS_TOL * sqrt(d1 d2) + config.rel_tol * (an iterate's norm); hitting
@@ -155,6 +154,9 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
     """
     if noise_bound is not None:
         _check_noise_bound(noise_bound)
+    if stop_below is not None and (isinstance(stop_below, bool) or not (
+            isinstance(stop_below, Real) and not math.isnan(stop_below))):
+        raise ValueError(f"stop_below must be a real number, got {stop_below!r}")
     observed = np.asarray(observed, dtype=complex)
     if sample_set.size == 0:
         raise ValueError("cannot complete from an empty sample set")
@@ -181,8 +183,8 @@ def complete(basis: LiftingBasis, weights: WeightPair, sample_set: SampleSet,
         raise ValueError("weights annihilate some coordinate of the lift")
     d1, d2 = basis.dims
     obs0 = sample_set.indices - 1
-    radius = None if noise_bound is None \
-        else float(noise_bound) * np.sqrt(sample_set.size)
+    radius = float(noise_bound) * np.sqrt(sample_set.size) \
+        if noise_bound else None
     # the nuclear norms of the internal lift are 1/peak of the caller's
     level = None if stop_below is None else float(stop_below) / float(peak)
     rank_bound = math.sqrt(min(d1, d2))

@@ -12,8 +12,8 @@ import pytest
 import wlift
 from wlift import experiments
 from wlift.experiments import (SUCCESS_THRESHOLD, PhaseGrid, SuccessSurface,
-                               _draw, _nuclear_gain, build_basis, cell_seed,
-                               emit_dat, loglog_slope, noise_sweep,
+                               TrialOutcome, _draw, _nuclear_gain, build_basis,
+                               cell_seed, emit_dat, loglog_slope, noise_sweep,
                                phase_transition, random_mixture, run_trial)
 from wlift.lifting import LiftingBasis, double_hankel_basis, hankel_basis, lift
 from wlift.signal import project
@@ -56,6 +56,18 @@ def test_random_mixture_separation_floor():
         assert np.all(gaps >= 0.05) and wrap >= 0.05
 
 
+def test_random_mixture_rejects_a_k_that_is_no_positive_integer():
+    # checked before the first draw: numpy would raise a TypeError for 2.5
+    # and "negative dimensions" for -1, and K = 0 draws an empty mixture
+    for k in (2.5, -1, 0, True, "2"):
+        with pytest.raises(ValueError, match="K must be a positive integer"):
+            random_mixture(59, k, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="K must be a positive integer"):
+            run_trial(59, "hankel", 30, "identity", 40, k, 1)
+        with pytest.raises(ValueError, match="K must be a positive integer"):
+            noise_sweep(21, "hankel", 10, k, 14, [1e-3], trials=1)
+
+
 def test_build_basis_dispatch():
     assert build_basis("hankel", 59, 30).dims == (30, 30)
     assert build_basis("double-hankel", 59, 40).dims == (40, 40)
@@ -69,6 +81,16 @@ def test_run_trial_success_easy_cell():
     assert out.success
     assert out.rel_error <= 1e-3
     assert out.error_code is None
+
+
+def test_trial_outcome_success_is_its_error():
+    assert TrialOutcome(SUCCESS_THRESHOLD).success
+    assert not TrialOutcome(np.nextafter(SUCCESS_THRESHOLD, 1.0)).success
+    assert not TrialOutcome(float("inf"), "LinAlgError").success
+    assert not TrialOutcome(float("nan")).success
+    # a verdict is not stored, so none can disagree with the error
+    with pytest.raises(TypeError):
+        TrialOutcome(0.5, success=True)
 
 
 def test_run_trial_is_deterministic():
@@ -133,6 +155,30 @@ def test_dark_trial_is_proven_early():
     assert _nuclear(basis, g) < floor
     out = run_trial(59, "hankel", 30, "identity", 20, 10, seed)
     assert not out.success and out.rel_error == relative_error(y, g)
+
+
+@pytest.mark.parametrize("structure, pencil",
+                         [("hankel", 30), ("double-hankel", 40)])
+def test_a_proven_solve_fails_the_error_rule(structure, pencil):
+    # ||L(e)||_* <= kappa ||e||, so an iterate below the floor is farther
+    # than the threshold from y: the proof and the error rule agree
+    basis = build_basis(structure, 59, pencil)
+    cells = [(1, 5, 15, t) for t in range(3)] + [(0, 20, 10, 0), (0, 30, 4, 0)]
+    proven = 0
+    for base_seed, m, k, t in cells:
+        seed = cell_seed(base_seed, m, k, t)
+        y, sset = _draw(59, k, m, seed)
+        floor = _identity_floor(basis, y)
+        result = complete(basis, identity_weights(basis.dims), sset,
+                          project(y, sset), stop_below=floor)
+        err = relative_error(y, result.estimate)
+        if result.proven:
+            proven += 1
+            assert err > SUCCESS_THRESHOLD
+        out = run_trial(59, structure, pencil, "identity", m, k, seed)
+        assert out.rel_error == err
+        assert out.success == (out.rel_error <= SUCCESS_THRESHOLD)
+    assert proven == 4  # every cell but the bright M=30 K=4
 
 
 def test_stop_below_leaves_a_success_unchanged():

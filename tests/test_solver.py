@@ -275,15 +275,24 @@ def test_complete_noisy_ball_constraint_holds():
     assert slack <= np.sqrt(22) * 1e-2 + 1e-9
 
 
-def test_complete_zero_noise_bound_matches_noiseless():
+def test_complete_zero_noise_bound_matches_noiseless(monkeypatch):
+    import wlift.solver
+
+    def no_ball(*args):
+        raise AssertionError("a zero bound took the ball projection")
+
+    monkeypatch.setattr(wlift.solver, "_ball_project", no_ball)
     basis = hankel_basis(21, 10)
     y = synthesize(random_mixture(21, 2, np.random.default_rng(6)))
     sset = sample_uniform_m(21, 14, seed=4)
     obs = y[sset.indices - 1]
     exact = complete(basis, identity_weights(basis.dims), sset, obs)
-    balled = complete(basis, identity_weights(basis.dims), sset, obs,
-                      noise_bound=0.0)
-    assert relative_error(exact.estimate, balled.estimate) <= 1e-5
+    # a zero bound is the noiseless program, not a radius-0 projection
+    for zero in (0, 0.0, np.float64(0.0)):
+        balled = complete(basis, identity_weights(basis.dims), sset, obs,
+                          noise_bound=zero)
+        assert balled.estimate.tobytes() == exact.estimate.tobytes()
+        assert balled.iterations == exact.iterations
 
 
 def test_complete_objective_is_weighted_nuclear_norm():
@@ -378,6 +387,23 @@ def test_complete_error_conditions():
         with pytest.raises(ValueError):
             complete(basis, weights, SampleSet(9, np.array([1, 2])),
                      np.array([1.0, 2.0]), noise_bound=eta)
+
+
+def test_complete_rejects_a_stop_below_that_is_no_real_number(monkeypatch):
+    # "1" would be coerced to a level, and NaN would turn the stop off
+    import wlift.solver
+
+    def no_svt(m, tau):
+        raise AssertionError("solved before checking stop_below")
+
+    monkeypatch.setattr(wlift.solver, "svt", no_svt)
+    basis = hankel_basis(21, 10)
+    y = synthesize(random_mixture(21, 2, np.random.default_rng(0)))
+    sset = sample_uniform_m(21, 12, seed=0)
+    for level in ("1", np.nan, float("nan"), True, 1j, [1.0]):
+        with pytest.raises(ValueError, match="stop_below"):
+            complete(basis, identity_weights(basis.dims), sset,
+                     y[sset.indices - 1], stop_below=level)
 
 
 def test_complete_rejects_infinite_noise_bound():
