@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field, asdict
 from numbers import Real
@@ -19,7 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lifting import LiftingBasis, double_hankel_basis, hankel_basis, lift
+from .lifting import (LiftingBasis, LiftOperator, double_hankel_basis,
+                      hankel_basis, lift)
 from .signal import (Mixture, _check_count, _check_noise_bound, _check_seed,
                      add_noise, project, sample_uniform_m, synthesize)
 from .solver import SolverConfig, complete, relative_error
@@ -173,10 +173,20 @@ def _draw(n: int, k: int, m: int, seed: int, min_separation: float = 0.0):
     return y, sample_uniform_m(n, m, seed=int(rng.integers(2 ** 62)))
 
 
-def _nuclear_gain(basis: LiftingBasis) -> float:
-    """kappa with ||L(e)||_* <= kappa ||e||: disjoint patterns give
-    ||L(e)||_F^2 = sum_n omega_n |e_n|^2, and ||.||_* <= sqrt(rank) ||.||_F."""
-    return math.sqrt(min(basis.dims) * int(basis.support_counts.max()))
+def _proof_floor(basis: LiftingBasis, y: np.ndarray, sample_set) -> float:
+    """A level below ||L(x)||_* for every x that equals y on the sample set
+    and lies within SUCCESS_THRESHOLD (theta, relative) of y.
+
+    Q = U V^H of L(y) = U S V^H has ||Q||_2 = 1, so ||L(x)||_* >=
+    Re<Q, L(x)> = ||L(y)||_* + Re<slope, x - y>, where slope is the lift's
+    adjoint of Q zeroed on the sample set. The 1e-9 relative slack covers
+    the SVD's rounding, all that is left when M = N makes slope 0.
+    """
+    u, s, vh = np.linalg.svd(lift(basis, y), full_matrices=False)
+    slope = LiftOperator(basis).adjoint(u @ vh)
+    slope[sample_set.indices - 1] = 0
+    return s.sum() * (1 - 1e-9) \
+        - SUCCESS_THRESHOLD * np.linalg.norm(y) * np.linalg.norm(slope)
 
 
 def run_trial(n: int, structure: str, pencil: int, weighting: str,
@@ -187,11 +197,12 @@ def run_trial(n: int, structure: str, pencil: int, weighting: str,
 
     It succeeds when its estimate is within SUCCESS_THRESHOLD (theta,
     relative) of the truth y. An identity solve stops at the first
-    (feasible) iterate g with ||L(g)||_* below ||L(y)||_* - kappa theta ||y||
-    (`complete`'s stop_below), and that changes no verdict: as
-    ||L(e)||_* <= kappa ||e|| (`_nuclear_gain`), g and every minimizer of
-    the program are farther than theta from y. Solver errors fold into a
-    failed outcome with an error code, so a sweep never crashes on one trial.
+    (feasible) iterate g whose lift's nuclear norm is below `_proof_floor`,
+    ||L(y)||_* - theta ||y|| ||slope|| (`complete`'s stop_below), and that
+    changes no verdict: every feasible x within theta of y lifts above it,
+    so g and every minimizer are farther than theta from y. Solver errors
+    fold into a failed outcome with an error code, so a sweep never
+    crashes on one trial.
     """
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -203,10 +214,9 @@ def run_trial(n: int, structure: str, pencil: int, weighting: str,
             _, result = two_stage_pipeline(basis, sset, obs,
                                            solver_config=solver_config)
         else:
-            floor = np.linalg.svd(lift(basis, y), compute_uv=False).sum() \
-                - _nuclear_gain(basis) * SUCCESS_THRESHOLD * np.linalg.norm(y)
             result = complete(basis, identity_weights(basis.dims), sset, obs,
-                              config=solver_config, stop_below=floor)
+                              config=solver_config,
+                              stop_below=_proof_floor(basis, y, sset))
     except (ValueError, np.linalg.LinAlgError) as exc:
         return TrialOutcome(float("inf"), type(exc).__name__)
     return TrialOutcome(relative_error(y, result.estimate))

@@ -12,11 +12,12 @@ import pytest
 import wlift
 from wlift import experiments
 from wlift.experiments import (SUCCESS_THRESHOLD, PhaseGrid, SuccessSurface,
-                               TrialOutcome, _draw, _nuclear_gain, build_basis,
+                               TrialOutcome, _draw, _proof_floor, build_basis,
                                cell_seed, emit_dat, loglog_slope, noise_sweep,
                                phase_transition, random_mixture, run_trial)
-from wlift.lifting import LiftingBasis, double_hankel_basis, hankel_basis, lift
-from wlift.signal import project
+from wlift.lifting import (LiftingBasis, LiftOperator, double_hankel_basis,
+                           hankel_basis, lift)
+from wlift.signal import SampleSet, project
 from wlift.solver import SolverConfig, complete, relative_error
 from wlift.weights import identity_weights
 
@@ -119,23 +120,49 @@ def _nuclear(basis, x):
     return np.linalg.svd(lift(basis, x), compute_uv=False).sum()
 
 
-def test_nuclear_gain_bounds_the_lift():
-    # ||L(e)||_* <= kappa ||e||, the bound behind run_trial's proof floor
+def _slope(basis, y, sset):
+    u, _, vh = np.linalg.svd(lift(basis, y), full_matrices=False)
+    slope = LiftOperator(basis).adjoint(u @ vh)
+    slope[sset.indices - 1] = 0
+    return slope
+
+
+def test_proof_floor_bounds_every_feasible_lift_near_y():
+    # ||L(y + e)||_* >= floor for every e that is zero on the sample set
+    # with ||e|| = theta ||y||, the adversarial e along -slope included;
+    # ||slope|| never exceeds the worst-case gain kappa
     rng = np.random.default_rng(3)
     small = LiftingBasis(3, (2, 3), [0, 1, 0, 1], [0, 1, 1, 2], [0, 0, 1, 2])
-    for basis in (hankel_basis(59, 30), double_hankel_basis(59, 40), small):
-        kappa = _nuclear_gain(basis)
-        widest = np.zeros(basis.n, dtype=complex)
-        widest[basis.support_counts.argmax()] = 1.0
-        es = [widest] + [rng.normal(size=basis.n) + 1j * rng.normal(size=basis.n)
+    cases = [(small, rng.normal(size=3) + 1j * rng.normal(size=3),
+              SampleSet(3, [2]))]
+    for basis, k, m in ((hankel_basis(59, 30), 6, 30),
+                        (double_hankel_basis(59, 40), 10, 20)):
+        cases.append((basis, *_draw(59, k, m, cell_seed(0, m, k, 2))))
+    for basis, y, sset in cases:
+        floor = _proof_floor(basis, y, sset)
+        slope = _slope(basis, y, sset)
+        kappa = np.sqrt(min(basis.dims) * basis.support_counts.max())
+        assert 0 < np.linalg.norm(slope) <= kappa
+        es = [-slope] + [rng.normal(size=basis.n) + 1j * rng.normal(size=basis.n)
                          for _ in range(20)]
         for e in es:
-            assert _nuclear(basis, e) <= kappa * np.linalg.norm(e) * (1 + 1e-12)
+            e[sset.indices - 1] = 0
+            e *= SUCCESS_THRESHOLD * np.linalg.norm(y) / np.linalg.norm(e)
+            assert _nuclear(basis, y + e) >= floor
 
 
-def _identity_floor(basis, y):
-    return _nuclear(basis, y) \
-        - _nuclear_gain(basis) * SUCCESS_THRESHOLD * np.linalg.norm(y)
+def test_proof_floor_proves_nothing_when_every_sample_is_observed():
+    # M = N leaves no free coordinate, so the floor's margin is 0 and only
+    # its slack keeps the SVD's rounding of L(y) from proving a failure
+    for structure, pencil in (("hankel", 30), ("double-hankel", 40)):
+        basis = build_basis(structure, 59, pencil)
+        for k in (1, 3, 8):
+            for t in range(5):
+                y, sset = _draw(59, k, 59, cell_seed(0, 59, k, t))
+                result = complete(basis, identity_weights(basis.dims), sset,
+                                  project(y, sset),
+                                  stop_below=_proof_floor(basis, y, sset))
+                assert not result.proven, (structure, k, t)
 
 
 def test_dark_trial_is_proven_early():
@@ -145,7 +172,7 @@ def test_dark_trial_is_proven_early():
     y, sset = _draw(59, 10, 20, seed)
     obs = project(y, sset)
     basis = hankel_basis(59, 30)
-    floor = _identity_floor(basis, y)
+    floor = _proof_floor(basis, y, sset)
     result = complete(basis, identity_weights(basis.dims), sset, obs,
                       stop_below=floor)
     assert result.proven and not result.converged
@@ -157,18 +184,39 @@ def test_dark_trial_is_proven_early():
     assert not out.success and out.rel_error == relative_error(y, g)
 
 
+def test_a_band_failure_is_proven_only_by_the_sharper_floor():
+    # the worst-case gain kappa = sqrt(min(d1, d2) max omega_n) bounds
+    # ||L(e)||_* <= kappa ||e|| too, but its floor is too low to prove this
+    # band failure within max_iters; the polar factor's floor proves it
+    seed = cell_seed(0, 30, 6, 2)
+    y, sset = _draw(59, 6, 30, seed)
+    obs = project(y, sset)
+    basis = hankel_basis(59, 30)
+    weights = identity_weights(basis.dims)
+    kappa = np.sqrt(min(basis.dims) * basis.support_counts.max())
+    coarse = _nuclear(basis, y) - kappa * SUCCESS_THRESHOLD * np.linalg.norm(y)
+    assert not complete(basis, weights, sset, obs, stop_below=coarse).proven
+    result = complete(basis, weights, sset, obs,
+                      stop_below=_proof_floor(basis, y, sset))
+    assert result.proven and result.iterations <= 200
+    g = result.estimate
+    assert g[sset.indices - 1].tobytes() == obs.tobytes()  # feasible
+    out = run_trial(59, "hankel", 30, "identity", 30, 6, seed)
+    assert not out.success and out.rel_error == relative_error(y, g)
+
+
 @pytest.mark.parametrize("structure, pencil",
                          [("hankel", 30), ("double-hankel", 40)])
 def test_a_proven_solve_fails_the_error_rule(structure, pencil):
-    # ||L(e)||_* <= kappa ||e||, so an iterate below the floor is farther
-    # than the threshold from y: the proof and the error rule agree
+    # every feasible x within the threshold of y lifts above the floor, so
+    # an iterate below it is farther: the proof and the error rule agree
     basis = build_basis(structure, 59, pencil)
     cells = [(1, 5, 15, t) for t in range(3)] + [(0, 20, 10, 0), (0, 30, 4, 0)]
     proven = 0
     for base_seed, m, k, t in cells:
         seed = cell_seed(base_seed, m, k, t)
         y, sset = _draw(59, k, m, seed)
-        floor = _identity_floor(basis, y)
+        floor = _proof_floor(basis, y, sset)
         result = complete(basis, identity_weights(basis.dims), sset,
                           project(y, sset), stop_below=floor)
         err = relative_error(y, result.estimate)
@@ -189,7 +237,7 @@ def test_stop_below_leaves_a_success_unchanged():
     weights = identity_weights(basis.dims)
     plain = complete(basis, weights, sset, obs)
     gated = complete(basis, weights, sset, obs,
-                     stop_below=_identity_floor(basis, y))
+                     stop_below=_proof_floor(basis, y, sset))
     assert plain.converged and not gated.proven
     assert relative_error(y, plain.estimate) <= SUCCESS_THRESHOLD
     assert gated.estimate.tobytes() == plain.estimate.tobytes()
