@@ -23,7 +23,7 @@ from .lifting import (LiftingBasis, LiftOperator, double_hankel_basis,
 from .signal import (Mixture, _check_count, _check_noise_bound, _check_seed,
                      add_noise, project, sample_uniform_m, synthesize)
 from .solver import SolverConfig, complete, relative_error
-from .weights import identity_weights, two_stage_pipeline
+from .weights import WeightPair, identity_weights, two_stage_pipeline
 
 __all__ = [
     "PhaseGrid",
@@ -173,17 +173,22 @@ def _draw(n: int, k: int, m: int, seed: int, min_separation: float = 0.0):
     return y, sample_uniform_m(n, m, seed=int(rng.integers(2 ** 62)))
 
 
-def _proof_floor(basis: LiftingBasis, y: np.ndarray, sample_set) -> float:
-    """A level below ||L(x)||_* for every x that equals y on the sample set
-    and lies within SUCCESS_THRESHOLD (theta, relative) of y.
+def _proof_floor(basis: LiftingBasis, y: np.ndarray, sample_set,
+                 weights: Optional[WeightPair] = None) -> float:
+    """A level below ||L_W(x)||_* for every x that equals y on the sample
+    set and lies within SUCCESS_THRESHOLD (theta, relative) of y.
 
-    Q = U V^H of L(y) = U S V^H has ||Q||_2 = 1, so ||L(x)||_* >=
-    Re<Q, L(x)> = ||L(y)||_* + Re<slope, x - y>, where slope is the lift's
-    adjoint of Q zeroed on the sample set. The 1e-9 relative slack covers
-    the SVD's rounding, all that is left when M = N makes slope 0.
+    L_W(x) = W_L L(x) W_R^H is the lift with `weights` (None: the plain
+    lift). Q = U V^H of L_W(y) = U S V^H has ||Q||_2 = 1, so ||L_W(x)||_*
+    >= Re<Q, L_W(x)> = ||L_W(y)||_* + Re<slope, x - y>, where slope is the
+    weighted lift's adjoint of Q zeroed on the sample set. The 1e-9
+    relative slack covers the SVD's rounding, all that is left when M = N
+    makes slope 0.
     """
-    u, s, vh = np.linalg.svd(lift(basis, y), full_matrices=False)
-    slope = LiftOperator(basis).adjoint(u @ vh)
+    w = weights or identity_weights(basis.dims)
+    op = LiftOperator(basis, w.left_diag[basis.rows] * w.right_diag[basis.cols])
+    u, s, vh = np.linalg.svd(op.forward(y), full_matrices=False)
+    slope = op.adjoint(u @ vh)
     slope[sample_set.indices - 1] = 0
     return s.sum() * (1 - 1e-9) \
         - SUCCESS_THRESHOLD * np.linalg.norm(y) * np.linalg.norm(slope)
@@ -196,13 +201,15 @@ def run_trial(n: int, structure: str, pencil: int, weighting: str,
     """One seeded draw-sample-solve-threshold trial.
 
     It succeeds when its estimate is within SUCCESS_THRESHOLD (theta,
-    relative) of the truth y. An identity solve stops at the first
-    (feasible) iterate g whose lift's nuclear norm is below `_proof_floor`,
-    ||L(y)||_* - theta ||y|| ||slope|| (`complete`'s stop_below), and that
-    changes no verdict: every feasible x within theta of y lifts above it,
-    so g and every minimizer are farther than theta from y. Solver errors
-    fold into a failed outcome with an error code, so a sweep never
-    crashes on one trial.
+    relative) of the truth y. Every solve stops at the first (feasible)
+    iterate g whose weighted lift's nuclear norm is below `_proof_floor`,
+    ||L_W(y)||_* - theta ||y|| ||slope_W|| for that solve's weights
+    (`complete`'s stop_below), and that changes no verdict of its solve:
+    every feasible x within theta of y lifts above it, so g and every
+    minimizer are farther than theta from y. A two-stage trial tunes from
+    a proven stage 1 as from a converged one. Solver errors fold into a
+    failed outcome with an error code, so a sweep never crashes on one
+    trial.
     """
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -211,8 +218,9 @@ def run_trial(n: int, structure: str, pencil: int, weighting: str,
     basis = build_basis(structure, n, pencil)
     try:
         if weighting == "two_stage":
-            _, result = two_stage_pipeline(basis, sset, obs,
-                                           solver_config=solver_config)
+            _, result = two_stage_pipeline(
+                basis, sset, obs, solver_config=solver_config,
+                stop_below=lambda w: _proof_floor(basis, y, sset, w))
         else:
             result = complete(basis, identity_weights(basis.dims), sset, obs,
                               config=solver_config,

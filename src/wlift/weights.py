@@ -9,7 +9,7 @@ coordinates, which is the quantity the sample-complexity bound scales with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -205,23 +205,27 @@ def tune_diagonal_weights(basis: LiftingBasis, sample_set: SampleSet,
 
 def two_stage_pipeline(basis: LiftingBasis, sample_set: SampleSet,
                        observed: np.ndarray,
-                       solver_config: SolverConfig = SolverConfig()):
+                       solver_config: SolverConfig = SolverConfig(),
+                       stop_below: Optional[Callable[[WeightPair], float]] = None):
     """Identity-weight solve, then re-solve with tuned diagonal weights.
 
     Stage 1 completes with identity weights; its lifted estimate provides
     the pilot subspace for weight tuning; stage 2 re-solves the weighted
-    program. Returns (weights, stage-2 result). If stage 1 did not
-    converge, its lift is degenerate, or tuning does not lower its
-    objective (it then returns scaled identity weights, whose program
+    program. Returns (weights, stage-2 result). If stage 1 was neither
+    converged nor proven, its lift is degenerate, or tuning does not lower
+    its objective (it then returns scaled identity weights, whose program
     stage 1 has already solved), the stage-1 result is returned with
     identity weights. The pilot's rank cut sits far below the accuracy of
-    an unconverged stage 1, so weights tuned from one would follow
-    rounding noise.
+    a capped stage 1, so weights tuned from one would follow rounding
+    noise. stop_below maps a stage's weights to its `complete` stop_below
+    level; a stage 1 proven below its level is tuned from as a converged
+    one is.
     """
+    level = stop_below or (lambda weights: None)
     ident = identity_weights(basis.dims)
     stage1 = complete(basis, ident, sample_set, observed,
-                      config=solver_config)
-    if not stage1.converged:
+                      config=solver_config, stop_below=level(ident))
+    if not (stage1.converged or stage1.proven):
         return ident, stage1
     try:
         pilot = subspace_of(basis, stage1.estimate)
@@ -231,5 +235,5 @@ def two_stage_pipeline(basis: LiftingBasis, sample_set: SampleSet,
     if tuned.objective >= tuned.baseline:
         return ident, stage1
     stage2 = complete(basis, tuned.weights, sample_set, observed,
-                      config=solver_config)
+                      config=solver_config, stop_below=level(tuned.weights))
     return tuned.weights, stage2

@@ -11,15 +11,17 @@ import pytest
 
 import wlift
 from wlift import experiments
+from wlift import weights as weights_module
 from wlift.experiments import (SUCCESS_THRESHOLD, PhaseGrid, SuccessSurface,
                                TrialOutcome, _draw, _proof_floor, build_basis,
                                cell_seed, emit_dat, loglog_slope, noise_sweep,
                                phase_transition, random_mixture, run_trial)
 from wlift.lifting import (LiftingBasis, LiftOperator, double_hankel_basis,
                            hankel_basis, lift)
+from wlift.scores import subspace_of
 from wlift.signal import SampleSet, project
 from wlift.solver import SolverConfig, complete, relative_error
-from wlift.weights import identity_weights
+from wlift.weights import WeightPair, identity_weights, two_stage_pipeline
 
 
 def spearman(a, b):
@@ -116,20 +118,39 @@ def test_run_trial_folds_solver_errors(monkeypatch):
     assert out.error_code == "LinAlgError"
 
 
-def _nuclear(basis, x):
-    return np.linalg.svd(lift(basis, x), compute_uv=False).sum()
+def _cell_weights(weights):
+    # W_L M W_R^H for real diagonals is M times this outer product
+    return np.outer(weights.left_diag, weights.right_diag)
 
 
-def _slope(basis, y, sset):
-    u, _, vh = np.linalg.svd(lift(basis, y), full_matrices=False)
-    slope = LiftOperator(basis).adjoint(u @ vh)
+def _weighted_lift(basis, x, weights=None):
+    """W_L L(x) W_R^H as a dense product (None: the plain lift)."""
+    if weights is None:
+        return lift(basis, x)
+    return lift(basis, x) * _cell_weights(weights)
+
+
+def _nuclear(basis, x, weights=None):
+    return np.linalg.svd(_weighted_lift(basis, x, weights),
+                         compute_uv=False).sum()
+
+
+def _slope(basis, y, sset, weights=None):
+    # the weighted lift's adjoint of Q is L*(W_L Q W_R) for real diagonals
+    u, _, vh = np.linalg.svd(_weighted_lift(basis, y, weights),
+                             full_matrices=False)
+    q = u @ vh
+    if weights is not None:
+        q = q * _cell_weights(weights)
+    slope = LiftOperator(basis).adjoint(q)
     slope[sset.indices - 1] = 0
     return slope
 
 
 def test_proof_floor_bounds_every_feasible_lift_near_y():
-    # ||L(y + e)||_* >= floor for every e that is zero on the sample set
-    # with ||e|| = theta ||y||, the adversarial e along -slope included;
+    # ||L_W(y + e)||_* >= floor for every e that is zero on the sample set
+    # with ||e|| = theta ||y||, the adversarial e along -slope_W included,
+    # for the plain lift and for random diagonal weights in [0.5, 2];
     # ||slope|| never exceeds the worst-case gain kappa
     rng = np.random.default_rng(3)
     small = LiftingBasis(3, (2, 3), [0, 1, 0, 1], [0, 1, 1, 2], [0, 0, 1, 2])
@@ -139,16 +160,32 @@ def test_proof_floor_bounds_every_feasible_lift_near_y():
                         (double_hankel_basis(59, 40), 10, 20)):
         cases.append((basis, *_draw(59, k, m, cell_seed(0, m, k, 2))))
     for basis, y, sset in cases:
-        floor = _proof_floor(basis, y, sset)
+        plain = _proof_floor(basis, y, sset)
+        # identity weights are the plain lift, bit for bit
+        ident = _proof_floor(basis, y, sset, identity_weights(basis.dims))
+        assert ident.hex() == plain.hex()
         slope = _slope(basis, y, sset)
         kappa = np.sqrt(min(basis.dims) * basis.support_counts.max())
         assert 0 < np.linalg.norm(slope) <= kappa
-        es = [-slope] + [rng.normal(size=basis.n) + 1j * rng.normal(size=basis.n)
-                         for _ in range(20)]
-        for e in es:
-            e[sset.indices - 1] = 0
-            e *= SUCCESS_THRESHOLD * np.linalg.norm(y) / np.linalg.norm(e)
-            assert _nuclear(basis, y + e) >= floor
+        d1, d2 = basis.dims
+        for weights in (None, WeightPair(rng.uniform(0.5, 2, d1),
+                                         rng.uniform(0.5, 2, d2))):
+            floor = _proof_floor(basis, y, sset, weights)
+            slope = _slope(basis, y, sset, weights)
+            assert np.linalg.norm(slope) > 0
+            # the floor is its formula on the dense weighted lift
+            margin = SUCCESS_THRESHOLD * np.linalg.norm(y) \
+                * np.linalg.norm(slope)
+            np.testing.assert_allclose(
+                floor, _nuclear(basis, y, weights) * (1 - 1e-9) - margin,
+                rtol=1e-12)
+            es = [-slope] + [rng.normal(size=basis.n)
+                             + 1j * rng.normal(size=basis.n)
+                             for _ in range(20)]
+            for e in es:
+                e[sset.indices - 1] = 0
+                e *= SUCCESS_THRESHOLD * np.linalg.norm(y) / np.linalg.norm(e)
+                assert _nuclear(basis, y + e, weights) >= floor
 
 
 def test_proof_floor_proves_nothing_when_every_sample_is_observed():
@@ -243,6 +280,100 @@ def test_stop_below_leaves_a_success_unchanged():
     assert gated.estimate.tobytes() == plain.estimate.tobytes()
     assert gated.iterations == plain.iterations
     assert run_trial(59, "hankel", 30, "identity", 30, 4, seed).success
+
+
+def _recording(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends (args, result)."""
+    original = getattr(module, name)
+
+    def record(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, record)
+    return original
+
+
+def _two_stage_case(structure, n, pencil, k, m, seed):
+    y, sset = _draw(n, k, m, seed)
+    basis = build_basis(structure, n, pencil)
+    return basis, y, sset, lambda w: _proof_floor(basis, y, sset, w)
+
+
+def test_a_proven_stage_one_is_still_tuned(monkeypatch):
+    # a dark two-stage trial is proven in stage 1 and, like a converged
+    # stage 1, hands its iterate to the tuner; tuning keeps identity, so
+    # the trial fails with that iterate's error (without the proof, stage
+    # 1 runs all 2000 iterations)
+    seed = cell_seed(0, 20, 4, 0)
+    basis, y, sset, floor = _two_stage_case("hankel", 59, 30, 4, 20, seed)
+    solves, tunes = [], []
+    _recording(monkeypatch, weights_module, "complete", solves)
+    _recording(monkeypatch, weights_module, "tune_diagonal_weights", tunes)
+    weights, result = two_stage_pipeline(basis, sset, project(y, sset),
+                                         stop_below=floor)
+    [(_, stage1)] = solves
+    assert stage1 is result and result.proven and not result.converged
+    assert result.iterations <= 100
+    [((_, _, pilot), tuned)] = tunes
+    expected = subspace_of(basis, stage1.estimate)
+    assert pilot.left.tobytes() == expected.left.tobytes()
+    assert tuned.objective >= tuned.baseline
+    np.testing.assert_array_equal(weights.left_diag, np.ones(30))
+    np.testing.assert_array_equal(weights.right_diag, np.ones(30))
+    out = run_trial(59, "hankel", 30, "two_stage", 20, 4, seed)
+    assert not out.success
+    assert out.rel_error == relative_error(y, result.estimate)
+
+
+def test_a_tuned_stage_two_is_proven_below_its_weighted_floor(monkeypatch):
+    # stage 1 converges as it does without stop_below (457 iterations) and
+    # tunes; stage 2's weighted floor proves its failure early (without
+    # the proof, stage 2 runs all 2000 iterations)
+    seed = cell_seed(0, 20, 2, 2)
+    basis, y, sset, floor = _two_stage_case("double-hankel", 59, 40, 2, 20,
+                                            seed)
+    obs = project(y, sset)
+    solves = []
+    original = _recording(monkeypatch, weights_module, "complete", solves)
+    weights, result = two_stage_pipeline(basis, sset, obs, stop_below=floor)
+    [(_, stage1), ((_, tuned, _, _), stage2)] = solves
+    plain = original(basis, identity_weights(basis.dims), sset, obs)
+    assert stage1.converged and not stage1.proven
+    assert stage1.iterations == plain.iterations
+    assert stage1.estimate.tobytes() == plain.estimate.tobytes()
+    assert tuned is weights and np.ptp(weights.left_diag) > 0
+    assert stage2 is result and result.proven and result.iterations <= 50
+    g = result.estimate
+    assert g[sset.indices - 1].tobytes() == obs.tobytes()  # feasible
+    assert _nuclear(basis, g, weights) < floor(weights)
+    out = run_trial(59, "double-hankel", 40, "two_stage", 20, 2, seed)
+    assert not out.success and out.rel_error == relative_error(y, g)
+
+
+@pytest.mark.parametrize("case", [
+    ("double-hankel", 59, 40, 4, 30, cell_seed(0, 30, 4, 0)),
+    # a square Hankel lift whose pilot keeps a noise direction with
+    # unconjugated side vectors, so tuning keeps a step
+    ("hankel", 59, 30, 4, 55, cell_seed(0, 55, 4, 0)),
+])
+def test_stop_below_leaves_a_successful_two_stage_solve_unchanged(
+        monkeypatch, case):
+    basis, y, sset, floor = _two_stage_case(*case)
+    obs = project(y, sset)
+    runs = []
+    for stop_below in (None, floor):
+        solves = []
+        with monkeypatch.context() as patch:
+            _recording(patch, weights_module, "complete", solves)
+            weights, result = two_stage_pipeline(basis, sset, obs,
+                                                 stop_below=stop_below)
+        assert len(solves) == 2 and not any(r.proven for _, r in solves)
+        assert relative_error(y, result.estimate) <= SUCCESS_THRESHOLD
+        runs.append(([r.iterations for _, r in solves],
+                     result.estimate.tobytes(), weights.left_diag.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_phase_grid_validation():

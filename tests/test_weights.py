@@ -289,8 +289,11 @@ def test_two_stage_handles_degenerate_stage_one():
 
 
 def test_two_stage_reuses_stage_one_when_tuning_keeps_identity(monkeypatch):
-    # a square Hankel lift leaves the tuner at identity (see above), so
-    # stage 2 would only re-solve the stage-1 program
+    # this pilot's left and right vectors are conjugate, so on the square
+    # Hankel lift the tuner keeps identity (see above) and stage 2 would
+    # only re-solve the stage-1 program; a pilot whose rank cut keeps an
+    # unconjugated noise direction can keep a step (Hankel M=55 K=4 in
+    # test_experiments.py)
     import wlift.weights
     basis = hankel_basis(59, 30)
     y = synthesize(random_mixture(59, 3, np.random.default_rng(7)))
